@@ -1,9 +1,17 @@
 """Coloring oracles and the subset-expansion chromatic polynomials.
 
-The counting functions enumerate proper colorations directly (backtracking
-with incremental constraint checks); they are the ground truth every closed
-form and identity is tested against.  The polynomial functions evaluate the
-alternating sum over edge subsets
+Every counting function is one backtracking colourer run on a different
+colour set.  It colours vertices 1..n in order from the colours 0..q-1
+(the enumeration reports them as 1..q).  Each edge carries a table that
+maps the tail's colour to the one head colour it forbids, and a loop closes
+every colour its table maps to itself.  The integral count uses
+c -> c + gain, the modular count c -> c + gain mod q; the multi-zero count
+turns each block of m paired colours by the gain mod m and adds null
+colours that forbid themselves.  The last vertex is counted, not walked.
+These counts are the ground truth every closed form and identity is tested
+against.
+
+The polynomial functions evaluate the alternating sum over edge subsets
 
     sum over S of (-1)^|S| q^(balanced components of S) z^(other components of S)
 
@@ -16,6 +24,7 @@ instances feasible.
 from __future__ import annotations
 
 from collections.abc import Iterator
+from functools import lru_cache
 
 from .gaingraph import IntegralGainGraph, ModularGainGraph
 from .poly import Poly2
@@ -27,37 +36,116 @@ class TooManyEdges(RuntimeError):
 
 # -- coloring oracles -----------------------------------------------------------
 
+# Tables are memoised only for colour sets up to _MEMO_COLOURS, so the memo
+# holds at most _MEMO_TABLES * _MEMO_COLOURS entries however large q gets.
+_MEMO_TABLES = 256
+_MEMO_COLOURS = 32
+
+Table = tuple[int, ...]
+
+
+def _build_table(q: int, m: int | None, z: int, gain: int) -> Table:
+    """The head colour an edge of this gain forbids, for each tail colour 0..q-1.
+
+    Colours below z are nulls and forbid themselves.  Colour z + c forbids
+    z + (c - c % m) + (c + gain) % m: the same block of m colours, turned by
+    the gain.  With m = None there is one unbounded block, so c forbids
+    c + gain, which may lie outside 0..q-1.
+    """
+    if m is None:
+        return tuple(range(gain, gain + q))
+    return tuple(range(z)) + tuple(z + c - c % m + (c + gain) % m for c in range(q - z))
+
+
+_memo_table = lru_cache(maxsize=_MEMO_TABLES)(_build_table)
+
+
+def _constraints(
+    g: IntegralGainGraph | ModularGainGraph, q: int, m: int | None, z: int
+) -> tuple[list, list[list[tuple[int, Table]]]] | None:
+    """The colours open to each vertex, and (tail, table) for each link into it.
+
+    A loop closes every colour its table maps to itself.  None as soon as a
+    loop leaves its vertex no colour; loops are read first, so that case
+    looks up no link tables.  Both graph types store links with tail < head,
+    so a table always reads a colour chosen before its head's.
+    """
+    table = _memo_table if q <= _MEMO_COLOURS else _build_table
+    allowed: list = [range(q)] * (g.n + 1)
+    for t, h, gain in g.edges:
+        if t == h:
+            forbid = table(q, m, z, gain)
+            allowed[t] = [c for c in allowed[t] if forbid[c] != c]
+            if not allowed[t]:
+                return None
+    into: list[list[tuple[int, Table]]] = [[] for _ in range(g.n + 1)]
+    for t, h, gain in g.edges:
+        if t != h:
+            into[h].append((t, table(q, m, z, gain)))
+    return allowed, into
+
+
+def _last_vertex_bans(
+    n: int, allowed: list, into: list[list[tuple[int, Table]]], colour: list[int]
+) -> Iterator[set[int]]:
+    """The one backtracking search behind every coloring oracle.
+
+    Walks the proper colourings of vertices 1..n-1 in lexicographic order,
+    leaves each in ``colour``, and yields the colours its links forbid at
+    vertex n, so that callers count or list the last vertex's colours
+    without walking them.
+    """
+    into_last = into[n]
+    top = n - 1
+    if top == 0:
+        yield set()
+        return
+    # Links run from lower to higher vertices, so none bans a colour at vertex 1.
+    bans: list = [set()] * n
+    todo: list = [iter(allowed[1])] * n  # the colours each vertex has yet to try
+    v = 1
+    while v:
+        here = bans[v]
+        if v == top:
+            for c in todo[v]:
+                if c not in here:
+                    colour[v] = c
+                    yield {forbid[colour[t]] for t, forbid in into_last}
+            v -= 1
+            continue
+        for c in todo[v]:
+            if c not in here:
+                colour[v] = c
+                v += 1
+                bans[v] = {forbid[colour[t]] for t, forbid in into[v]}
+                todo[v] = iter(allowed[v])
+                break
+        else:
+            v -= 1
+
+
+def _count(g: IntegralGainGraph | ModularGainGraph, q: int, m: int | None, z: int) -> int:
+    """Colourings by 0..q-1 under the (m, z) tables."""
+    n = g.n
+    if n == 0:
+        return 1
+    cons = _constraints(g, q, m, z)
+    if cons is None:
+        return 0
+    allowed, into = cons
+    last = frozenset(allowed[n])
+    size = len(last)
+    total = 0
+    for bans in _last_vertex_bans(n, allowed, into, [0] * (n + 1)):
+        total += size - len(last & bans)
+    return total
+
 
 def count_integral_colorings(g: IntegralGainGraph, q: int) -> int:
     """Colorations k: V -> [q] with k(head) != k(tail) + gain on every edge."""
     if q < 0:
         raise ValueError("q must be nonnegative")
-    n = g.n
-    if n == 0:
-        return 1
-    if q == 0:
-        return 0
-    cons: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
-    for t, h, gain in g.edges:
-        if t == h:
-            if gain == 0:
-                return 0
-        else:
-            cons[h].append((t, gain))
-    color = [0] * (n + 1)
-
-    def count_from(v: int) -> int:
-        forbidden = {color[t] + gain for t, gain in cons[v]}
-        if v == n:
-            return q - sum(1 for c in forbidden if 0 <= c < q)
-        total = 0
-        for c in range(q):
-            if c not in forbidden:
-                color[v] = c
-                total += count_from(v + 1)
-        return total
-
-    return count_from(1)
+    return _count(g, q, None, 0)
 
 
 def enumerate_integral_colorings(g: IntegralGainGraph, q: int) -> Iterator[dict[int, int]]:
@@ -67,58 +155,23 @@ def enumerate_integral_colorings(g: IntegralGainGraph, q: int) -> Iterator[dict[
         if q >= 0:
             yield {}
         return
-    if q <= 0:
+    cons = _constraints(g, q, None, 0)
+    if cons is None:
         return
-    cons: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
-    for t, h, gain in g.edges:
-        if t == h:
-            if gain == 0:
-                return
-        else:
-            cons[h].append((t, gain))
-    color = [0] * (n + 1)
-
-    def walk(v: int) -> Iterator[dict[int, int]]:
-        if v > n:
-            yield {u: color[u] for u in range(1, n + 1)}
-            return
-        forbidden = {color[t] + gain for t, gain in cons[v]}
-        for c in range(1, q + 1):
-            if c not in forbidden:
-                color[v] = c
-                yield from walk(v + 1)
-
-    yield from walk(1)
+    allowed, into = cons
+    colour = [0] * (n + 1)
+    for bans in _last_vertex_bans(n, allowed, into, colour):
+        for c in allowed[n]:
+            if c not in bans:
+                colour[n] = c
+                yield {v: colour[v] + 1 for v in range(1, n + 1)}
 
 
 def count_modular_colorings(g: IntegralGainGraph, q: int) -> int:
     """Colorations k: V -> Z_q with k(head) != k(tail) + gain (mod q)."""
     if q < 1:
         raise ValueError("q must be positive")
-    n = g.n
-    if n == 0:
-        return 1
-    cons: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
-    for t, h, gain in g.edges:
-        if t == h:
-            if gain % q == 0:
-                return 0
-        else:
-            cons[h].append((t, gain))
-    color = [0] * (n + 1)
-
-    def count_from(v: int) -> int:
-        forbidden = {(color[t] + gain) % q for t, gain in cons[v]}
-        if v == n:
-            return q - len(forbidden)
-        total = 0
-        for c in range(q):
-            if c not in forbidden:
-                color[v] = c
-                total += count_from(v + 1)
-        return total
-
-    return count_from(1)
+    return _count(g, q, q, 0)
 
 
 def count_multizero_colorings(g: ModularGainGraph, k: int, z: int) -> int:
@@ -132,42 +185,7 @@ def count_multizero_colorings(g: ModularGainGraph, k: int, z: int) -> int:
     """
     if k < 0 or z < 0:
         raise ValueError("k and z must be nonnegative")
-    n, m = g.n, g.modulus
-    if n == 0:
-        return 1
-    q = k * m + z
-    if q == 0:
-        return 0
-    cons: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
-    no_null = [False] * (n + 1)
-    for t, h, gain in g.edges:
-        if t == h:
-            if gain % m == 0:
-                return 0
-            no_null[t] = True
-        else:
-            cons[h].append((t, gain))
-    color = [0] * (n + 1)
-
-    def clash(ct: int, gain: int) -> int:
-        if ct < z:
-            return ct
-        idx, grp = divmod(ct - z, m)
-        return z + idx * m + (grp + gain) % m
-
-    def count_from(v: int) -> int:
-        lo = z if no_null[v] else 0
-        forbidden = {clash(color[t], gain) for t, gain in cons[v]}
-        if v == n:
-            return (q - lo) - sum(1 for f in forbidden if f >= lo)
-        total = 0
-        for c in range(lo, q):
-            if c not in forbidden:
-                color[v] = c
-                total += count_from(v + 1)
-        return total
-
-    return count_from(1)
+    return _count(g, k * g.modulus + z, g.modulus, z)
 
 
 # -- rollback union-find with potentials -----------------------------------------

@@ -41,7 +41,7 @@ from .families import (
     sc_partition_graph,
     sc_path_closed_forms,
 )
-from .gaingraph import IntegralGainGraph
+from .gaingraph import IntegralGainGraph, strict_int
 from .identities import (
     CheckReport,
     check_catalan_hollow_relations,
@@ -96,7 +96,8 @@ def _load_minus_edges(path: str) -> SimpleGraph:
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-        return SimpleGraph.from_pairs(int(data["n"]), [tuple(e) for e in data["edges"]])
+        pairs = [tuple(map(strict_int, e)) for e in data["edges"]]
+        return SimpleGraph.from_pairs(strict_int(data["n"]), pairs)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise _usage_error(f"cannot read minus-edge file {path}: {exc}")
 

@@ -30,6 +30,13 @@ class UnbalancedSet(ValueError):
     """Raised when a balanced-set contraction receives an unbalanced edge set."""
 
 
+def strict_int(value: object) -> int:
+    """``value`` if it is an int, not a bool or a float; ValueError otherwise."""
+    if type(value) is not int:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
 def _canonical_edge(n: int, tail: int, head: int, gain: int) -> Edge:
     if not (1 <= tail <= n and 1 <= head <= n):
         raise ValueError(f"edge ({tail},{head},{gain}) out of range for n={n}")
@@ -82,7 +89,7 @@ class IntegralGainGraph:
     @classmethod
     def from_dict(cls, data: Mapping) -> "IntegralGainGraph":
         edges = data.get("edges", [])
-        return cls(int(data["n"]), [(int(t), int(h), int(g)) for t, h, g in edges])
+        return cls(strict_int(data["n"]), [tuple(map(strict_int, e)) for e in edges])
 
     def effective_labels(self) -> tuple[frozenset[int], ...]:
         """Per-vertex provenance sets; each vertex names itself when unset."""

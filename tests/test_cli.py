@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from gainchrom.cli import main, parse_partition
 from gainchrom.families import linial_closed_forms
 from gainchrom.poly import parse_poly, poly_from_term_list
@@ -148,6 +150,32 @@ def test_verify_single_graph(tmp_path, capsys):
     code, out = run_cli(capsys, "verify", "--suite", "first", "--graph", str(path))
     assert code == 0
     assert "PASS" in out
+
+
+def test_verify_graph_file_every_suite(tmp_path, capsys):
+    # the integral non-invariance witness no longer needs a second graph
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps({"n": 3, "edges": [[1, 2, 0], [2, 3, 1], [1, 3, -1]]}))
+    code, out = run_cli(capsys, "verify", "--graph", str(path))
+    assert code == 0
+    assert "PASS\tintegral-noninvariance-witness\t" in out
+
+
+@pytest.mark.parametrize(
+    "argv, name, doc",
+    [
+        (["--graph"], "g.json", {"n": 2, "edges": [[1, 2, 0.5]]}),
+        (["--graph"], "g.json", {"n": 2, "edges": [[1, 2, True]]}),
+        (["--family", "sc", "--minus-edges"], "minus.json", {"n": 2, "edges": [[1.5, 2]]}),
+    ],
+    ids=["float-gain", "bool-gain", "float-minus-edge"],
+)
+def test_non_integer_input_is_a_usage_error(tmp_path, capsys, argv, name, doc):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, "eval", *argv, str(path), "--function", "integral", "--q", "3")
+    assert code == 2
+    assert out == ""
 
 
 def test_lds_realize_and_check(capsys):

@@ -274,6 +274,9 @@ def test_dict_round_trip_and_canonicalization_on_load():
     g = IntegralGainGraph.from_dict({"n": 3, "edges": [[3, 1, 2], [2, 2, -1]]})
     assert g.edges == ((1, 3, -2), (2, 2, 1))
     assert IntegralGainGraph.from_dict(g.to_dict()) == g
+    for bad in ({"n": 2, "edges": [[1, 2, 0.5]]}, {"n": 2, "edges": [[1, 2, True]]}, {"n": 2.0}):
+        with pytest.raises(ValueError):
+            IntegralGainGraph.from_dict(bad)
 
 
 def test_iso_key():

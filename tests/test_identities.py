@@ -165,3 +165,10 @@ def test_invariance_suite_smoke():
     assert by_name["loop-independence"].passed
     assert by_name["neutral-deletion-contraction"].passed
     assert by_name["disjoint-union-product"].passed
+
+
+def test_invariance_suite_on_one_graph_with_a_gain_2_loop():
+    # one graph holds no corpus witness pair, and its gain-2 loop is 0 mod 2
+    g = IntegralGainGraph(2, [(1, 1, 2), (1, 2, 1)])
+    reports = run_invariance_suite([g], switchings=3, union_samples=2)
+    assert [r.identity for r in reports if not r.passed] == []

@@ -7,12 +7,19 @@ sibling test modules and share no code with the library paths.
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 
-from gainchrom.chromatic import total_poly, zero_free_poly
+from gainchrom.chromatic import (
+    count_integral_colorings,
+    count_modular_colorings,
+    count_multizero_colorings,
+    enumerate_integral_colorings,
+    total_poly,
+    zero_free_poly,
+)
 from gainchrom.gaingraph import IntegralGainGraph
 
-from test_chromatic import naive_total
+from test_chromatic import naive_integral, naive_modular, naive_multizero, naive_total
 from test_gaingraph import brute_max_circle_gain
 
 
@@ -41,6 +48,39 @@ def test_zero_free_slice_random_differential():
     for _ in range(120):
         g = random_graph(rng)
         assert zero_free_poly(g) == total_poly(g).substitute_z(0)
+
+
+def test_coloring_oracles_random_differential():
+    # gains up to +-5 on loops and parallel edges; every modulus 1..5 with
+    # every k, z in 0..2 comes up twice
+    rng = random.Random(61)
+    multizero_cases = list(product(range(1, 6), range(3), range(3)))
+    shapes = set()
+    for i in range(2 * len(multizero_cases)):
+        g = random_graph(rng, max_n=4, max_m=6, gain_bound=5)
+        links = [(t, h) for t, h, _ in g.edges if t != h]
+        if len(links) < len(g.edges):
+            shapes.add("loop")
+        if len(set(links)) < len(links):
+            shapes.add("parallel")
+        for q in range(7):
+            count = count_integral_colorings(g, q)
+            assert count == naive_integral(g, q), (g, q)
+            listed = list(enumerate_integral_colorings(g, q))
+            keys = [tuple(kappa[v] for v in range(1, g.n + 1)) for kappa in listed]
+            assert len(listed) == count and keys == sorted(set(keys)), (g, q)
+            assert all(
+                set(kappa) == set(range(1, g.n + 1))
+                and all(1 <= c <= q for c in kappa.values())
+                and all(kappa[h] != kappa[t] + gain for t, h, gain in g.edges)
+                for kappa in listed
+            ), (g, q)
+            if q:
+                assert count_modular_colorings(g, q) == naive_modular(g, q), (g, q)
+        m, k, z = multizero_cases[i % len(multizero_cases)]
+        gm = g.reduce_mod(m)
+        assert count_multizero_colorings(gm, k, z) == naive_multizero(gm, k, z), (gm, k, z)
+    assert shapes == {"loop", "parallel"}
 
 
 def test_max_circle_gain_random_differential():
