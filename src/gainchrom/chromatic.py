@@ -15,10 +15,10 @@ The polynomial functions evaluate the alternating sum over edge subsets
 
     sum over S of (-1)^|S| q^(balanced components of S) z^(other components of S)
 
-with a rollback union-find carrying per-vertex potentials, so each subset
-costs amortized constant work.  The zero-free variant prunes to balanced
-subsets only (unbalance is monotone under adding edges), which keeps large
-instances feasible.
+with the rollback potential union-find of gaingraph.py (``_GainDSU``), so
+each subset costs amortized constant work.  The zero-free variant prunes to
+balanced subsets only (unbalance is monotone under adding edges), which
+keeps large instances feasible.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from functools import lru_cache
 
-from .gaingraph import IntegralGainGraph, ModularGainGraph
+from .gaingraph import IntegralGainGraph, ModularGainGraph, _GainDSU
 from .poly import Poly2
 
 
@@ -188,96 +188,7 @@ def count_multizero_colorings(g: ModularGainGraph, k: int, z: int) -> int:
     return _count(g, k * g.modulus + z, g.modulus, z)
 
 
-# -- rollback union-find with potentials -----------------------------------------
-
-
-class _GainDSU:
-    """Union-find over vertices with gain potentials and an undo journal.
-
-    Tracks component count and how many components contain an inconsistent
-    (nonzero-gain) circle; exponents of the expansion terms read directly off
-    those counters.
-    """
-
-    __slots__ = ("parent", "rank", "offset", "unbal", "mod", "n_comp", "n_unbal", "journal")
-
-    def __init__(self, n: int, modulus: int | None = None):
-        self.parent = list(range(n + 1))
-        self.rank = [0] * (n + 1)
-        self.offset = [0] * (n + 1)  # potential relative to parent
-        self.unbal = [False] * (n + 1)  # meaningful at roots
-        self.mod = modulus
-        self.n_comp = n
-        self.n_unbal = 0
-        self.journal: list[tuple] = []
-
-    def find(self, v: int) -> tuple[int, int]:
-        pot = 0
-        while self.parent[v] != v:
-            pot += self.offset[v]
-            v = self.parent[v]
-        if self.mod is not None:
-            pot %= self.mod
-        return v, pot
-
-    def add_edge(self, t: int, h: int, gain: int) -> None:
-        rt, pt = self.find(t)
-        rh, ph = self.find(h)
-        if rt == rh:
-            diff = ph - pt - gain
-            consistent = (diff % self.mod == 0) if self.mod is not None else (diff == 0)
-            if consistent or self.unbal[rt]:
-                self.journal.append((0,))
-            else:
-                self.unbal[rt] = True
-                self.n_unbal += 1
-                self.journal.append((1, rt))
-            return
-        if self.rank[rt] >= self.rank[rh]:
-            parent_root, child_root = rt, rh
-            delta = gain + pt - ph  # so that pot(head) - pot(tail) == gain
-        else:
-            parent_root, child_root = rh, rt
-            delta = ph - pt - gain
-        if self.mod is not None:
-            delta %= self.mod
-        bumped = self.rank[parent_root] == self.rank[child_root]
-        if bumped:
-            self.rank[parent_root] += 1
-        ua, ub = self.unbal[parent_root], self.unbal[child_root]
-        self.parent[child_root] = parent_root
-        self.offset[child_root] = delta
-        if ub and not ua:
-            self.unbal[parent_root] = True
-        if ua and ub:
-            self.n_unbal -= 1
-        self.n_comp -= 1
-        self.journal.append((2, child_root, parent_root, bumped, ua, ub))
-
-    def mark(self) -> int:
-        return len(self.journal)
-
-    def rollback(self, mark: int) -> None:
-        while len(self.journal) > mark:
-            entry = self.journal.pop()
-            kind = entry[0]
-            if kind == 0:
-                continue
-            if kind == 1:
-                _, root = entry
-                self.unbal[root] = False
-                self.n_unbal -= 1
-                continue
-            _, child_root, parent_root, bumped, ua, ub = entry
-            self.parent[child_root] = child_root
-            self.offset[child_root] = 0
-            if bumped:
-                self.rank[parent_root] -= 1
-            self.unbal[parent_root] = ua
-            self.unbal[child_root] = ub
-            if ua and ub:
-                self.n_unbal += 1
-            self.n_comp += 1
+# -- subset expansion ------------------------------------------------------------
 
 
 def _expand_subsets(
@@ -301,7 +212,7 @@ def _expand_subsets(
                 terms.pop(key, None)
             return
         rec(i + 1, sign)
-        mk = dsu.mark()
+        mk = len(dsu.journal)
         dsu.add_edge(*edges[i])
         if not (balanced_only and dsu.n_unbal):
             rec(i + 1, -sign)

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
+from .gaingraph import _GainDSU
+
 SetPartition = tuple[tuple[int, ...], ...]
 
 
@@ -101,27 +103,12 @@ def partition_mobius(pi: SetPartition) -> int:
 # -- closed edge sets (flats) of an ordinary multigraph ------------------------
 
 
-def _pair_components(n: int, pairs: list[tuple[int, int]], subset: Iterable[int]) -> list[int]:
-    comp = list(range(n + 1))
-
-    def find(v: int) -> int:
-        while comp[v] != v:
-            comp[v] = comp[comp[v]]
-            v = comp[v]
-        return v
-
-    for i in subset:
-        a, b = pairs[i]
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            comp[max(ra, rb)] = min(ra, rb)
-    return [find(v) for v in range(n + 1)]
-
-
 def closure(n: int, pairs: list[tuple[int, int]], subset: Iterable[int]) -> frozenset[int]:
     """Indices of every edge whose endpoints the subset connects (loops always qualify)."""
-    roots = _pair_components(n, pairs, subset)
-    return frozenset(i for i, (a, b) in enumerate(pairs) if roots[a] == roots[b])
+    dsu = _GainDSU(n)
+    for i in subset:
+        dsu.add_edge(*pairs[i], 0)
+    return frozenset(i for i, (a, b) in enumerate(pairs) if dsu.find(a)[0] == dsu.find(b)[0])
 
 
 def closed_edge_sets(n: int, pairs: list[tuple[int, int]]) -> list[frozenset[int]]:

@@ -34,7 +34,7 @@ from .combinatorics import (
 )
 from .chromatic import region_count
 from .gaingraph import IntegralGainGraph
-from .poly import ONE, Poly2, Q
+from .poly import ONE, Poly2, Q, falling_factorial
 
 
 class NonIntegerResult(ArithmeticError):
@@ -95,14 +95,6 @@ class ClosedForms:
     modular_min_q: int
 
 
-def _falling_from(shift: int, length: int) -> Poly2:
-    """(q - shift)(q - shift - 1)...(q - shift - length + 1)."""
-    out = ONE
-    for i in range(length):
-        out = out * (Q - (shift + i))
-    return out
-
-
 def shi_closed_forms(n: int) -> ClosedForms:
     """integral (q-n+1)^n from q >= n-1; modular and zero-free q(q-n)^(n-1),
     modular from q > n."""
@@ -118,8 +110,8 @@ def catalan_closed_forms(n: int) -> ClosedForms:
     modular from q > n."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    integral = _falling_from(n - 1, n)
-    zero_free = Q * _falling_from(n + 1, n - 1)
+    integral = falling_factorial(n, shift=n - 1)
+    zero_free = Q * falling_factorial(n - 1, shift=n + 1)
     return ClosedForms(integral, zero_free, zero_free, n - 1, n + 1)
 
 
@@ -132,8 +124,8 @@ def hollow_catalan_closed_forms(n: int) -> ClosedForms:
     zero_free = Poly2.zero()
     for j in range(1, n + 1):
         s = stirling2(n, j)
-        integral = integral + s * _falling_from(j - 1, j)
-        zero_free = zero_free + s * _falling_from(j + 1, j - 1)
+        integral = integral + s * falling_factorial(j, shift=j - 1)
+        zero_free = zero_free + s * falling_factorial(j - 1, shift=j + 1)
     zero_free = Q * zero_free
     return ClosedForms(integral, zero_free, zero_free, n - 1, n + 1)
 
@@ -150,8 +142,8 @@ def sc_path_closed_forms(minus: SimpleGraph) -> ClosedForms:
     for r in range(1, n + 1):
         if not p[r]:
             continue
-        integral = integral + p[r] * _falling_from(n - 1, r)
-        zero_free = zero_free + p[r] * _falling_from(n + 1, r - 1)
+        integral = integral + p[r] * falling_factorial(r, shift=n - 1)
+        zero_free = zero_free + p[r] * falling_factorial(r - 1, shift=n + 1)
     zero_free = Q * zero_free
     return ClosedForms(integral, zero_free, zero_free, n - 1, n + 1)
 

@@ -12,6 +12,12 @@ multiplicative identity for every chromatic function here).  Graphs are
 immutable; every operation returns a new graph.  Edge subsets are passed
 around as collections of indices into ``edges`` so that parallel copies
 stay distinguishable.
+
+A switching function is a vertex potential, so balance, components,
+balanced contraction, the subset expansion in chromatic.py and the flat
+closure in combinatorics.py all read one structure: ``_GainDSU``, a
+union-find that keeps each vertex's potential relative to its root and can
+roll back.
 """
 
 from __future__ import annotations
@@ -45,6 +51,98 @@ def _canonical_edge(n: int, tail: int, head: int, gain: int) -> Edge:
     if tail > head:
         return (head, tail, -gain)
     return (tail, head, gain)
+
+
+class _GainDSU:
+    """Union-find over vertices 1..n with gain potentials and an undo journal.
+
+    find(v) gives v's root and its potential relative to that root; every
+    consistent added edge (tail, head, gain) keeps pot(head) - pot(tail) ==
+    gain, modulo ``modulus`` when one is given.  The counters n_comp and
+    n_unbal (components containing a circle of nonzero gain) are what
+    balance tests and the expansion exponents read.  rollback(mark) undoes
+    every change since the journal had ``mark`` entries; an edge that
+    changes nothing leaves no entry.
+    """
+
+    __slots__ = ("parent", "rank", "offset", "unbal", "mod", "n_comp", "n_unbal", "journal")
+
+    def __init__(self, n: int, modulus: int | None = None):
+        self.parent = list(range(n + 1))
+        self.rank = [0] * (n + 1)
+        self.offset = [0] * (n + 1)  # potential relative to parent
+        self.unbal = [False] * (n + 1)  # meaningful at roots
+        self.mod = modulus
+        self.n_comp = n
+        self.n_unbal = 0
+        self.journal: list[tuple] = []
+
+    def find(self, v: int) -> tuple[int, int]:
+        pot = 0
+        while self.parent[v] != v:
+            pot += self.offset[v]
+            v = self.parent[v]
+        if self.mod is not None:
+            pot %= self.mod
+        return v, pot
+
+    def add_edge(self, t: int, h: int, gain: int) -> None:
+        rt, pt = self.find(t)
+        rh, ph = self.find(h)
+        if rt == rh:
+            if self.unbal[rt]:
+                return
+            diff = ph - pt - gain
+            if (diff % self.mod if self.mod is not None else diff) != 0:
+                self.unbal[rt] = True
+                self.n_unbal += 1
+                self.journal.append((1, rt))
+            return
+        if self.rank[rt] >= self.rank[rh]:
+            parent_root, child_root = rt, rh
+            delta = gain + pt - ph  # so that pot(head) - pot(tail) == gain
+        else:
+            parent_root, child_root = rh, rt
+            delta = ph - pt - gain
+        if self.mod is not None:
+            delta %= self.mod
+        bumped = self.rank[parent_root] == self.rank[child_root]
+        if bumped:
+            self.rank[parent_root] += 1
+        ua, ub = self.unbal[parent_root], self.unbal[child_root]
+        self.parent[child_root] = parent_root
+        self.offset[child_root] = delta
+        if ub and not ua:
+            self.unbal[parent_root] = True
+        if ua and ub:
+            self.n_unbal -= 1
+        self.n_comp -= 1
+        self.journal.append((2, child_root, parent_root, bumped, ua, ub))
+
+    def rollback(self, mark: int) -> None:
+        while len(self.journal) > mark:
+            entry = self.journal.pop()
+            if entry[0] == 1:
+                self.unbal[entry[1]] = False
+                self.n_unbal -= 1
+                continue
+            _, child_root, parent_root, bumped, ua, ub = entry
+            self.parent[child_root] = child_root
+            self.offset[child_root] = 0
+            if bumped:
+                self.rank[parent_root] -= 1
+            self.unbal[parent_root] = ua
+            self.unbal[child_root] = ub
+            if ua and ub:
+                self.n_unbal += 1
+            self.n_comp += 1
+
+    def components(self) -> list[list[int]]:
+        """Vertex sets of the components, each sorted, ordered by least vertex."""
+        blocks: dict[int, list[int]] = {}
+        for v in range(1, len(self.parent)):
+            blocks.setdefault(self.find(v)[0], []).append(v)
+        return list(blocks.values())
 
 
 class IntegralGainGraph:
@@ -88,6 +186,8 @@ class IntegralGainGraph:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "IntegralGainGraph":
+        if not isinstance(data, Mapping):
+            raise ValueError(f"expected a JSON object, got {type(data).__name__}")
         edges = data.get("edges", [])
         return cls(strict_int(data["n"]), [tuple(map(strict_int, e)) for e in edges])
 
@@ -111,71 +211,24 @@ class IntegralGainGraph:
         return [(self.edges[i][0], self.edges[i][1]) for i in idx]
 
     # -- component / balance machinery ---------------------------------------
+    # Each query builds one _GainDSU over the selected edges; contraction
+    # below takes its blocks and potentials from the same structure.
 
-    def _component_data(
-        self, indices: Iterable[int] | None, root_pick: Callable[[list[int]], int] | None = None
-    ) -> tuple[list[int], list[list[int]], list[int], set[int]]:
-        """Split (V, selected edges) into components with DFS potentials.
-
-        Returns (component id per vertex, components ordered by least vertex,
-        potential per vertex relative to the component root, ids of components
-        containing a gain-inconsistent circle).  Potentials satisfy
-        pot[head] - pot[tail] == gain along every consistent selected edge.
-        """
-        idx = list(range(len(self.edges))) if indices is None else sorted(set(indices))
-        adjacency: dict[int, list[tuple[int, int]]] = {v: [] for v in range(1, self.n + 1)}
-        for i in idx:
-            t, h, g = self.edges[i]
-            if t != h:
-                adjacency[t].append((h, g))
-                adjacency[h].append((t, -g))
-        comp_of = [0] * (self.n + 1)
-        pot = [0] * (self.n + 1)
-        comps: list[list[int]] = []
-        seen = [False] * (self.n + 1)
-        for start in range(1, self.n + 1):
-            if seen[start]:
-                continue
-            stack = [start]
-            seen[start] = True
-            members = [start]
-            while stack:
-                v = stack.pop()
-                for w, g in adjacency[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        pot[w] = pot[v] + g
-                        members.append(w)
-                        stack.append(w)
-            comps.append(sorted(members))
-        if root_pick is not None:
-            # Re-run the potential assignment from the chosen roots.
-            for members in comps:
-                root = root_pick(members)
-                if root not in members:
-                    raise ValueError("root_pick must choose a vertex of the component")
-                base = pot[root]
-                for v in members:
-                    pot[v] -= base
-        for ci, members in enumerate(comps, start=1):
-            for v in members:
-                comp_of[v] = ci
-        unbalanced: set[int] = set()
-        for i in idx:
-            t, h, g = self.edges[i]
-            if pot[h] - pot[t] != g:
-                unbalanced.add(comp_of[t])
-        return comp_of, comps, pot, unbalanced
+    def _dsu(self, indices: Iterable[int] | None) -> _GainDSU:
+        """The potential union-find of (V, selected edges)."""
+        dsu = _GainDSU(self.n)
+        for i in range(len(self.edges)) if indices is None else indices:
+            dsu.add_edge(*self.edges[i])
+        return dsu
 
     def is_balanced(self, indices: Iterable[int] | None = None) -> bool:
         """True iff every circle inside the selected edges has total gain 0."""
-        _, _, _, unbalanced = self._component_data(indices)
-        return not unbalanced
+        return not self._dsu(indices).n_unbal
 
     def components_stats(self, indices: Iterable[int] | None = None) -> tuple[int, int]:
         """(component count, balanced component count) of the spanning subgraph."""
-        _, comps, _, unbalanced = self._component_data(indices)
-        return len(comps), len(comps) - len(unbalanced)
+        dsu = self._dsu(indices)
+        return dsu.n_comp, dsu.n_comp - dsu.n_unbal
 
     def max_circle_gain(self) -> int | None:
         """Largest |gain| over all circles (loops, digons, longer cycles); None if acyclic."""
@@ -268,8 +321,7 @@ class IntegralGainGraph:
         for i in drop:
             if self.edges[i][2] != 0:
                 raise NonNeutralEdgeInSet(f"edge {self.edges[i]} has nonzero gain")
-        _, comps, _, _ = self._component_data(drop)
-        return self._contract_blocks(comps, drop)
+        return self._contract_blocks(self._dsu(drop).components(), drop)
 
     def contract_balanced_set(
         self,
@@ -280,12 +332,23 @@ class IntegralGainGraph:
 
         The switching function used is the one vanishing at the minimum
         potential of each component and nonnegative elsewhere, which makes
-        the result independent of ``root_pick`` (the per-component DFS root;
-        exposed so tests can exercise that independence).
+        the result independent of ``root_pick`` (the vertex of each component
+        whose potential is set to 0; exposed so tests can exercise that
+        independence).
         """
         sel = frozenset(indices)
-        _, comps, pot, unbalanced = self._component_data(sel, root_pick)
-        if unbalanced:
+        dsu = self._dsu(sel)
+        comps = dsu.components()
+        pot = [dsu.find(v)[1] for v in range(self.n + 1)]
+        if root_pick is not None:
+            for members in comps:
+                root = root_pick(members)
+                if root not in members:
+                    raise ValueError("root_pick must choose a vertex of the component")
+                base = pot[root]
+                for v in members:
+                    pot[v] -= base
+        if dsu.n_unbal:
             raise UnbalancedSet("edge set contains a circle with nonzero gain")
         eta = [0] * (self.n + 1)
         for members in comps:

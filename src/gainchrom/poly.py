@@ -14,7 +14,7 @@ back losslessly.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
 Monomial = tuple[int, int]
 
@@ -182,13 +182,13 @@ Z = Poly2({(0, 1): 1})
 ONE = Poly2.const(1)
 
 
-def falling_factorial(m: int) -> Poly1:
-    """(q)_m = q(q-1)...(q-m+1); the empty product 1 for m = 0."""
+def falling_factorial(m: int, shift: int = 0) -> Poly1:
+    """(q - shift)_m = (q-shift)(q-shift-1)...(q-shift-m+1); the empty product 1 for m = 0."""
     if m < 0:
         raise ValueError("falling factorial needs m >= 0")
     out = ONE
     for i in range(m):
-        out = out * (Q - i)
+        out = out * (Q - (shift + i))
     return out
 
 

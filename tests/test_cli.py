@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -161,14 +162,33 @@ def test_verify_graph_file_every_suite(tmp_path, capsys):
     assert "PASS\tintegral-noninvariance-witness\t" in out
 
 
+# sha256 of the full stdout of `verify --suite all --n 2`.  A change of
+# digest must be a deliberate change of output, never a side effect of
+# reworking an engine: update the digest in the same change and say why.
+@pytest.mark.parametrize(
+    "extra, digest",
+    [
+        ([], "51e46bf52a879a943ac4810268c08f20f51495dfd733145574cca2890db9be72"),
+        (["--json"], "9ab1d4a79f6b709f6ed9341824136554fc0eabb75d86c36f71e9f270fced9c07"),
+    ],
+    ids=["text", "json"],
+)
+def test_verify_all_output_bytes_are_pinned(capsys, extra, digest):
+    code, out = run_cli(capsys, "verify", "--suite", "all", "--n", "2", *extra)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 @pytest.mark.parametrize(
     "argv, name, doc",
     [
         (["--graph"], "g.json", {"n": 2, "edges": [[1, 2, 0.5]]}),
         (["--graph"], "g.json", {"n": 2, "edges": [[1, 2, True]]}),
         (["--family", "sc", "--minus-edges"], "minus.json", {"n": 2, "edges": [[1.5, 2]]}),
+        (["--graph"], "g.json", [1, 2]),
+        (["--graph"], "g.json", "x"),
     ],
-    ids=["float-gain", "bool-gain", "float-minus-edge"],
+    ids=["float-gain", "bool-gain", "float-minus-edge", "list-document", "string-document"],
 )
 def test_non_integer_input_is_a_usage_error(tmp_path, capsys, argv, name, doc):
     path = tmp_path / name

@@ -83,6 +83,8 @@ def test_falling_factorial():
         assert falling_factorial(m).evaluate(m) == _factorial(m)
         for q in range(m):
             assert falling_factorial(m).evaluate(q) == 0
+    assert falling_factorial(3, shift=2) == (Q - 2) * (Q - 3) * (Q - 4)
+    assert falling_factorial(0, shift=-7) == ONE
 
 
 def _factorial(m: int) -> int:

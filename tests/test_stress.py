@@ -17,9 +17,16 @@ from gainchrom.chromatic import (
     total_poly,
     zero_free_poly,
 )
+from gainchrom.combinatorics import closure
 from gainchrom.gaingraph import IntegralGainGraph
 
-from test_chromatic import naive_integral, naive_modular, naive_multizero, naive_total
+from test_chromatic import (
+    _naive_stats,
+    naive_integral,
+    naive_modular,
+    naive_multizero,
+    naive_total,
+)
 from test_gaingraph import brute_max_circle_gain
 
 
@@ -81,6 +88,48 @@ def test_coloring_oracles_random_differential():
         gm = g.reduce_mod(m)
         assert count_multizero_colorings(gm, k, z) == naive_multizero(gm, k, z), (gm, k, z)
     assert shapes == {"loop", "parallel"}
+
+
+def test_potential_union_find_random_differential():
+    # components, balance and flat closure all come from one union-find;
+    # each is checked on every subset of up to 6 edges against the DFS of
+    # _naive_stats.  Gain bounds cycle through 4, 1 and 0 so that the gain-0
+    # pairs closure works on are plentiful.
+    rng = random.Random(113)
+    shapes = set()
+    for i in range(90):
+        g = random_graph(rng, max_n=5, max_m=7, gain_bound=(4, 1, 0)[i % 3])
+        links = [(t, h) for t, h, _ in g.edges if t != h]
+        if len(links) < len(g.edges):
+            shapes.add("loop")
+        if len(set(links)) < len(links):
+            shapes.add("parallel")
+        m = len(g.edges)
+        for size in range(min(m, 6) + 1):
+            for subset in combinations(range(m), size):
+                stats = _naive_stats(g.n, [g.edges[j] for j in subset], None)
+                # any order of the indices: unions then join roots of every rank
+                order = rng.sample(subset, len(subset))
+                assert g.components_stats(order) == stats, (g, order)
+                assert g.is_balanced(order) == (stats[0] == stats[1]), (g, order)
+                if stats[0] != stats[1]:
+                    shapes.add("unbalanced")
+        neutral = [e for e in g.edges if e[2] == 0]
+        pairs = [(t, h) for t, h, _ in neutral]
+        for size in range(min(len(pairs), 6) + 1):
+            for subset in combinations(range(len(pairs)), size):
+                chosen = [neutral[j] for j in subset]
+                comps = _naive_stats(g.n, chosen, None)[0]
+                expected = frozenset(
+                    j
+                    for j in range(len(pairs))
+                    if _naive_stats(g.n, chosen + [neutral[j]], None)[0] == comps
+                )
+                order = rng.sample(subset, len(subset))
+                assert closure(g.n, pairs, order) == expected, (g, order)
+                if expected - set(subset) - {j for j, (t, h) in enumerate(pairs) if t == h}:
+                    shapes.add("closure-adds-a-link")
+    assert shapes == {"loop", "parallel", "unbalanced", "closure-adds-a-link"}
 
 
 def test_max_circle_gain_random_differential():
