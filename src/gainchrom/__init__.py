@@ -2,10 +2,10 @@
 
 Gain graphs carry an integer on every oriented edge (reversal negates it).
 This package counts their proper colorations over [q], over Z_q, and over
-mixed color sets, computes the bivariate subset-expansion polynomial those
-counts specialize, ships closed forms for the Catalan, Shi, Linial, and
-intermediate families, and machine-verifies the reduction identities that
-connect all of the above.
+mixed color sets, computes by memoised deletion-contraction the bivariate
+subset-expansion polynomial those counts specialize, ships closed forms for
+the Catalan, Shi, Linial, and intermediate families, and machine-verifies
+the reduction identities that connect all of the above.
 """
 
 from .chromatic import (

@@ -1,4 +1,4 @@
-"""Coloring oracles and the subset-expansion chromatic polynomials.
+"""Coloring oracles and the chromatic polynomials by deletion-contraction.
 
 Every counting function is one backtracking colourer run on a different
 colour set.  It colours vertices 1..n in order from the colours 0..q-1
@@ -11,14 +11,19 @@ colours that forbid themselves.  The last vertex is counted, not walked.
 These counts are the ground truth every closed form and identity is tested
 against.
 
-The polynomial functions evaluate the alternating sum over edge subsets
+The polynomial functions compute the alternating sum over edge subsets
 
     sum over S of (-1)^|S| q^(balanced components of S) z^(other components of S)
 
-with the rollback potential union-find of gaingraph.py (``_GainDSU``), so
-each subset costs amortized constant work.  The zero-free variant prunes to
-balanced subsets only (unbalance is monotone under adding edges), which
-keeps large instances feasible.
+without walking the subsets.  They delete and contract the links at the
+highest vertex, T(G) = T(G - e) - T(G / e), where G / e first switches e
+to gain 0.  A contracted circle of nonzero gain becomes a flag on its
+vertex (Zaslavsky's unbalanced contraction), and a vertex left without
+links contributes q, or q - z when flagged.  Each state is memoised after
+switching a spanning forest of it to gain 0 with the potential union-find
+of gaingraph.py (``_GainDSU``), in the manner of Haggard, Pearce and Royle
+("Computing Tutte polynomials", 2010).  The zero-free variant drops the
+nonzero loops, which no balanced subset holds, so its states are fewer.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from .poly import Poly2
 
 
 class TooManyEdges(RuntimeError):
-    """Subset expansion refused: 2^|E| would exceed the configured guard."""
+    """Expansion refused: the graph has more edges than the configured guard."""
 
 
 # -- coloring oracles -----------------------------------------------------------
@@ -188,7 +193,129 @@ def count_multizero_colorings(g: ModularGainGraph, k: int, z: int) -> int:
     return _count(g, k * g.modulus + z, g.modulus, z)
 
 
-# -- subset expansion ------------------------------------------------------------
+# -- deletion-contraction ----------------------------------------------------------
+
+# A state is (n, links, flags): vertices 1..n, a set of links (tail, head,
+# gain) with tail < head, and flags[v] when v carries a nonzero loop.  A set
+# keeps one copy of equal parallel links, whose extra subsets cancel, and one
+# flag stands for any number of nonzero loops at a vertex.
+Terms = dict[tuple[int, int], int]
+
+
+def _reduce(gain: int, modulus: int | None) -> int:
+    return gain % modulus if modulus is not None else gain
+
+
+def _link(t: int, h: int, gain: int, modulus: int | None) -> tuple[int, int, int]:
+    if t > h:
+        t, h, gain = h, t, -gain
+    return (t, h, _reduce(gain, modulus))
+
+
+def _normalized(n: int, links: frozenset, modulus: int | None) -> frozenset:
+    """The links switched so that a spanning forest of them has gain 0.
+
+    Switching changes no subset's balance, so equal results follow for
+    every switching of a state; links are added in sorted order, so equal
+    inputs give equal forests.
+    """
+    dsu = _GainDSU(n, modulus)
+    ordered = sorted(links)
+    for t, h, gain in ordered:
+        dsu.add_edge(t, h, gain)
+    pot = [dsu.find(v)[1] for v in range(n + 1)]
+    return frozenset(_link(t, h, gain - pot[h] + pot[t], modulus) for t, h, gain in ordered)
+
+
+def _times_vertices(terms: Terms, flags: tuple[bool, ...]) -> Terms:
+    """terms times q for each unflagged vertex and q - z for each flagged one."""
+    unflagged = flags.count(False)
+    out = {(dq + unflagged, dz): c for (dq, dz), c in terms.items()}
+    for _ in range(len(flags) - unflagged):
+        step: Terms = {}
+        for (dq, dz), c in out.items():
+            step[dq + 1, dz] = step.get((dq + 1, dz), 0) + c
+            step[dq, dz + 1] = step.get((dq, dz + 1), 0) - c
+        out = {m: c for m, c in step.items() if c}
+    return out
+
+
+def _add_into(acc: Terms, terms: Terms, sign: int) -> None:
+    for m, c in terms.items():
+        value = acc.get(m, 0) + sign * c
+        if value:
+            acc[m] = value
+        else:
+            acc.pop(m, None)
+
+
+def _contract_top(
+    n: int, links: frozenset, flags: tuple[bool, ...], modulus: int | None, loops: bool,
+    memo: dict,
+) -> Terms:
+    """Minus the sum of T((G - e_1 ... e_(i-1)) / e_i) over the links e_i at n.
+
+    Contracting e_i = (t, n, g) switches n by -g and merges it into t, so a
+    later link (x, n, g') becomes (x, t, g' - g).  When x == t that is a loop
+    whose gain is nonzero, since the link set holds each gain once, so it
+    only flags t.
+    """
+    at_top = sorted((e for e in links if e[1] == n), reverse=True)
+    rest = links.difference(at_top)
+    acc: Terms = {}
+    for i, (t, _, gain) in enumerate(at_top):
+        merged = set(rest)
+        flag_t = flags[t] or flags[n]
+        for x, _, other in at_top[i + 1 :]:
+            if x != t:
+                merged.add(_link(x, t, other - gain, modulus))
+            else:
+                flag_t = flag_t or loops
+        new_flags = flags[:n]
+        if flag_t != flags[t]:
+            new_flags = new_flags[:t] + (flag_t,) + new_flags[t + 1 :]
+        _add_into(acc, _total(n - 1, frozenset(merged), new_flags, modulus, loops, memo), -1)
+    return acc
+
+
+def _total(
+    n: int, links: frozenset, flags: tuple[bool, ...], modulus: int | None, loops: bool,
+    memo: dict,
+) -> Terms:
+    """The signed (balanced, unbalanced) component counts of a state.
+
+    T(G) = T(G - L_n) - sum over i of T((G - e_1 ... e_(i-1)) / e_i) for
+    the links e_1 ... e_k at the highest vertex n, and an isolated vertex
+    contributes q, or q - z when flagged.  The deletions and isolated
+    vertices are walked in a loop, so only a contraction recurses and the
+    depth is at most n.  Each normalized state is memoised in ``memo``.
+    """
+    walked: list = []  # the states to compute, or (None, the flags peeled off)
+    while True:
+        top = max((h for _, h, _ in links), default=0)
+        if top < n:
+            walked.append((None, flags[top + 1 : n + 1]))
+            n, flags = top, flags[: top + 1]
+        if n == 0:
+            value: Terms = {(0, 0): 1}
+            break
+        links = _normalized(n, links, modulus)
+        key = (n, links, flags)
+        value = memo.get(key)
+        if value is not None:
+            break
+        walked.append(key)
+        links = frozenset(e for e in links if e[1] != n)
+    # Contract only once the deletions below are memoised, so that a
+    # contraction which meets one of them (as along a path) stops there.
+    for entry in reversed(walked):
+        if entry[0] is None:
+            value = _times_vertices(value, entry[1])
+        else:
+            acc = _contract_top(*entry, modulus, loops, memo)  # entry is (n, links, flags)
+            _add_into(acc, value, 1)
+            memo[entry] = value = acc
+    return value
 
 
 def _expand_subsets(
@@ -197,29 +324,22 @@ def _expand_subsets(
     modulus: int | None,
     balanced_only: bool,
 ) -> dict[tuple[int, int], int]:
-    """Signed counts of (balanced components, unbalanced components) over subsets."""
-    terms: dict[tuple[int, int], int] = {}
-    dsu = _GainDSU(n, modulus)
-    m = len(edges)
+    """Signed counts of (balanced components, unbalanced components) over subsets.
 
-    def rec(i: int, sign: int) -> None:
-        if i == m:
-            key = (dsu.n_comp - dsu.n_unbal, dsu.n_unbal)
-            value = terms.get(key, 0) + sign
-            if value:
-                terms[key] = value
-            else:
-                terms.pop(key, None)
-            return
-        rec(i + 1, sign)
-        mk = len(dsu.journal)
-        dsu.add_edge(*edges[i])
-        if not (balanced_only and dsu.n_unbal):
-            rec(i + 1, -sign)
-        dsu.rollback(mk)
-
-    rec(0, 1)
-    return terms
+    Computed by memoised deletion-contraction, never by walking the subsets.
+    A gain-0 loop makes the sum vanish; with ``balanced_only`` the nonzero
+    loops are dropped, since no balanced subset holds one.
+    """
+    links = set()
+    flags = [False] * (n + 1)
+    for t, h, gain in edges:
+        if t != h:
+            links.add(_link(t, h, gain, modulus))
+        elif _reduce(gain, modulus) == 0:
+            return {}
+        elif not balanced_only:
+            flags[t] = True
+    return _total(n, frozenset(links), tuple(flags), modulus, not balanced_only, {})
 
 
 def _modulus_of(g: IntegralGainGraph | ModularGainGraph) -> int | None:
@@ -228,7 +348,8 @@ def _modulus_of(g: IntegralGainGraph | ModularGainGraph) -> int | None:
 
 def total_poly(g: IntegralGainGraph | ModularGainGraph, max_edges: int = 26) -> Poly2:
     """The bivariate subset-expansion polynomial; q counts balanced components,
-    z the unbalanced ones.  Guarded by max_edges since the sum has 2^|E| terms."""
+    z the unbalanced ones.  Computed by memoised deletion-contraction, whose
+    states can still grow exponentially, so guarded by max_edges."""
     if len(g.edges) > max_edges:
         raise TooManyEdges(f"{len(g.edges)} edges exceed the expansion bound {max_edges}")
     terms = _expand_subsets(g.n, g.edges, _modulus_of(g), balanced_only=False)
@@ -236,7 +357,7 @@ def total_poly(g: IntegralGainGraph | ModularGainGraph, max_edges: int = 26) -> 
 
 
 def zero_free_poly(g: IntegralGainGraph | ModularGainGraph, max_edges: int = 26) -> Poly2:
-    """The z = 0 slice of total_poly, summed over balanced subsets only."""
+    """The z = 0 slice of total_poly: the sum over balanced subsets only."""
     if len(g.edges) > max_edges:
         raise TooManyEdges(f"{len(g.edges)} edges exceed the expansion bound {max_edges}")
     terms = _expand_subsets(g.n, g.edges, _modulus_of(g), balanced_only=True)
@@ -249,10 +370,8 @@ def chromatic_poly(g: IntegralGainGraph | ModularGainGraph, max_edges: int = 26)
 
 
 def ordinary_chromatic_poly(n: int, pairs: list[tuple[int, int]]) -> Poly2:
-    """Chromatic polynomial of an ordinary multigraph via the subset expansion.
-
-    Loops make the polynomial vanish (their subset pairs cancel exactly).
-    """
+    """Chromatic polynomial of an ordinary multigraph: the total polynomial
+    with every gain 0, so loops make it vanish."""
     edges = tuple((a, b, 0) for a, b in pairs)
     terms = _expand_subsets(n, edges, None, balanced_only=False)
     return Poly2(terms)

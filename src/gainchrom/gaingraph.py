@@ -355,8 +355,8 @@ class IntegralGainGraph:
             low = min(-pot[v] for v in members)
             for v in members:
                 eta[v] = -pot[v] - low
-        switched = self.switch(eta[1:])
-        return switched.contract_neutral_set(sel)
+        # Switching keeps the components, so the blocks above still hold.
+        return self.switch(eta[1:])._contract_blocks(comps, sel)
 
     def contract_partition(self, blocks: Iterable[Iterable[int]]) -> "IntegralGainGraph":
         """Identify each block to one vertex, keeping every edge and its gain."""

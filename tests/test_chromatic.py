@@ -177,6 +177,14 @@ def test_total_poly_guard():
     assert zero_free_poly(catalan_graph(5), max_edges=32)
 
 
+def test_wide_inputs_do_not_recurse_per_edge_or_vertex():
+    # 1500 parallel links: deleting them one by one would recurse 1500 deep;
+    # contracting any one leaves the later ones as nonzero loops
+    fan = IntegralGainGraph(2, [(1, 2, g) for g in range(1500)])
+    assert total_poly(fan, max_edges=1500) == Q**2 - 1500 * Q + 1499 * Z
+    assert total_poly(IntegralGainGraph(3000)) == Q**3000
+
+
 def test_ordinary_chromatic_poly():
     k3 = ordinary_chromatic_poly(3, [(1, 2), (2, 3), (1, 3)])
     assert k3 == Q * (Q - 1) * (Q - 2)

@@ -7,10 +7,12 @@ from itertools import combinations
 from gainchrom.chromatic import (
     count_integral_colorings,
     count_modular_colorings,
+    region_count,
     zero_free_poly,
 )
 from gainchrom.combinatorics import SimpleGraph, set_partitions
 from gainchrom.families import (
+    FAMILY_CLOSED_FORMS,
     catalan_closed_forms,
     catalan_graph,
     catalan_region_counts,
@@ -210,6 +212,15 @@ def test_catalan_region_counts():
     assert counts.hollow == (1, 3)
     counts3 = catalan_region_counts(3)
     assert counts3.direct == counts3.via_recurrence
+
+
+def test_zero_free_beyond_the_default_guard():
+    # 30 to 45 edges, past the default max_edges of 26
+    builders = {"catalan": catalan_graph, "shi": shi_graph, "hollow-catalan": hollow_catalan_graph}
+    for name, n in [("catalan", 6), ("shi", 7), ("hollow-catalan", 6)]:
+        expected = FAMILY_CLOSED_FORMS[name](n).zero_free
+        assert zero_free_poly(builders[name](n), max_edges=45) == expected, (name, n)
+    assert region_count(catalan_graph(6), 45) == 95040
 
 
 def test_thresholds_are_data_not_enforced():

@@ -18,7 +18,7 @@ from gainchrom.chromatic import (
     zero_free_poly,
 )
 from gainchrom.combinatorics import closure
-from gainchrom.gaingraph import IntegralGainGraph
+from gainchrom.gaingraph import IntegralGainGraph, ModularGainGraph
 
 from test_chromatic import (
     _naive_stats,
@@ -55,6 +55,26 @@ def test_zero_free_slice_random_differential():
     for _ in range(120):
         g = random_graph(rng)
         assert zero_free_poly(g) == total_poly(g).substitute_z(0)
+
+
+def test_modular_zero_free_with_loops_random_differential():
+    # loops whose gain is 0 mod m zero the polynomial; the others must drop
+    # out of the zero-free one
+    rng = random.Random(401)
+    shapes = set()
+    for i in range(120):
+        m = 2 + i % 4
+        g = random_graph(rng, max_n=5, max_m=6, gain_bound=6)
+        edges = list(g.edges)
+        for _ in range(rng.randint(0, 2) if g.n else 0):
+            v = rng.randint(1, g.n)
+            edges.append((v, v, rng.randint(-2, 2) * m + rng.choice([0, 1, 1, m - 1])))
+        gm = ModularGainGraph(g.n, edges, m)
+        for t, h, gain in gm.edges:
+            if t == h:
+                shapes.add("null loop" if gain == 0 else "loop")
+        assert zero_free_poly(gm) == naive_total(gm).substitute_z(0), gm
+    assert shapes == {"null loop", "loop"}
 
 
 def test_coloring_oracles_random_differential():
