@@ -22,8 +22,11 @@ vertex (Zaslavsky's unbalanced contraction), and a vertex left without
 links contributes q, or q - z when flagged.  Each state is memoised after
 switching a spanning forest of it to gain 0 with the potential union-find
 of gaingraph.py (``_GainDSU``), in the manner of Haggard, Pearce and Royle
-("Computing Tutte polynomials", 2010).  The zero-free variant drops the
-nonzero loops, which no balanced subset holds, so its states are fewer.
+("Computing Tutte polynomials", 2010).  The memo is shared by every call
+with the same modulus and loop treatment, so a switching, doubling or minor
+of a graph seen before reuses its states; it is cleared wholesale after any
+call that leaves it above a fixed state count.  The zero-free variant drops
+the nonzero loops, which no balanced subset holds, so its states are fewer.
 """
 
 from __future__ import annotations
@@ -318,6 +321,14 @@ def _total(
     return value
 
 
+# One memo per (modulus, loops), shared by every call.  A call that leaves
+# more than _MEMO_STATES states in them (each memo counting as one state
+# itself) clears them all, so the memos hold at most that many between calls.
+# Values are shared between calls and never mutated.
+_MEMO_STATES = 4096
+_memos: dict[tuple[int | None, bool], dict] = {}
+
+
 def _expand_subsets(
     n: int,
     edges: tuple[tuple[int, int, int], ...],
@@ -328,7 +339,8 @@ def _expand_subsets(
 
     Computed by memoised deletion-contraction, never by walking the subsets.
     A gain-0 loop makes the sum vanish; with ``balanced_only`` the nonzero
-    loops are dropped, since no balanced subset holds one.
+    loops are dropped, since no balanced subset holds one.  The result may
+    be a memo entry, so callers must not mutate it.
     """
     links = set()
     flags = [False] * (n + 1)
@@ -339,7 +351,13 @@ def _expand_subsets(
             return {}
         elif not balanced_only:
             flags[t] = True
-    return _total(n, frozenset(links), tuple(flags), modulus, not balanced_only, {})
+    loops = not balanced_only
+    memo = _memos.setdefault((modulus, loops), {})
+    try:
+        return _total(n, frozenset(links), tuple(flags), modulus, loops, memo)
+    finally:
+        if len(_memos) + sum(map(len, _memos.values())) > _MEMO_STATES:
+            _memos.clear()
 
 
 def _modulus_of(g: IntegralGainGraph | ModularGainGraph) -> int | None:
@@ -349,7 +367,9 @@ def _modulus_of(g: IntegralGainGraph | ModularGainGraph) -> int | None:
 def total_poly(g: IntegralGainGraph | ModularGainGraph, max_edges: int = 26) -> Poly2:
     """The bivariate subset-expansion polynomial; q counts balanced components,
     z the unbalanced ones.  Computed by memoised deletion-contraction, whose
-    states can still grow exponentially, so guarded by max_edges."""
+    states can still grow exponentially, so guarded by max_edges.  The memo
+    is keyed by the switching-normalised state and shared across calls, up
+    to a bounded number of states, so switched graphs cost one lookup."""
     if len(g.edges) > max_edges:
         raise TooManyEdges(f"{len(g.edges)} edges exceed the expansion bound {max_edges}")
     terms = _expand_subsets(g.n, g.edges, _modulus_of(g), balanced_only=False)

@@ -114,8 +114,14 @@ def _add_source_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--minus-edges", metavar="FILE", help="JSON simple graph for --family sc")
 
 
-def _resolve_source(args) -> tuple[IntegralGainGraph, ClosedForms | None, str]:
-    """Build the graph plus closed forms when the source is a family."""
+_CLOSED_FORM_FUNCTIONS = ("integral", "modular", "zero-free")
+
+
+def _resolve_source(
+    args, with_forms: bool
+) -> tuple[IntegralGainGraph, ClosedForms | None, str]:
+    """Build the graph, plus its closed forms when the source is a family
+    and ``with_forms`` asks for them."""
     if bool(args.graph) == bool(args.family):
         raise _usage_error("exactly one of --graph or --family is required")
     if args.graph:
@@ -126,12 +132,17 @@ def _resolve_source(args) -> tuple[IntegralGainGraph, ClosedForms | None, str]:
             raise _usage_error("--family sc needs exactly one of --partition or --minus-edges")
         if args.partition:
             pi = parse_partition(args.partition)
-            return sc_partition_graph(pi), sc_partition_closed_forms(pi), f"sc({args.partition})"
+            forms = sc_partition_closed_forms(pi) if with_forms else None
+            return sc_partition_graph(pi), forms, f"sc({args.partition})"
         minus = _load_minus_edges(args.minus_edges)
-        return sc_graph(minus), sc_path_closed_forms(minus), f"sc({args.minus_edges})"
+        if minus.n < 1:
+            raise _usage_error("graphs on at least one vertex only")
+        forms = sc_path_closed_forms(minus) if with_forms else None
+        return sc_graph(minus), forms, f"sc({args.minus_edges})"
     if args.n is None or args.n < 1:
         raise _usage_error(f"--family {name} needs --n >= 1")
-    return FAMILY_BUILDERS[name](args.n), FAMILY_CLOSED_FORMS[name](args.n), f"{name}({args.n})"
+    forms = FAMILY_CLOSED_FORMS[name](args.n) if with_forms else None
+    return FAMILY_BUILDERS[name](args.n), forms, f"{name}({args.n})"
 
 
 def _print_rows(rows: list[dict], args, function: str, source: str, poly: Poly2 | None) -> None:
@@ -152,9 +163,9 @@ def _print_rows(rows: list[dict], args, function: str, source: str, poly: Poly2 
 
 
 def _cmd_eval(args) -> int:
-    graph, forms, source = _resolve_source(args)
-    qs = args.q or []
     function = args.function
+    graph, forms, source = _resolve_source(args, function in _CLOSED_FORM_FUNCTIONS)
+    qs = args.q or []
     rows: list[dict] = []
     if function == "regions":
         value = region_count(graph, args.max_edges)
@@ -165,7 +176,7 @@ def _cmd_eval(args) -> int:
         return EXIT_OK
     if not qs:
         raise _usage_error("--q is required (repeatable)")
-    if function in ("integral", "modular", "zero-free") and forms is not None:
+    if forms is not None:
         poly, min_q = {
             "integral": (forms.integral, forms.integral_min_q),
             "modular": (forms.modular, forms.modular_min_q),
@@ -207,8 +218,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_poly(args) -> int:
-    graph, forms, source = _resolve_source(args)
     function = args.function
+    graph, forms, source = _resolve_source(args, function in _CLOSED_FORM_FUNCTIONS)
     if function in ("integral", "modular"):
         if forms is None:
             raise _usage_error(f"{function} is a closed form for families only; file graphs have no {function} polynomial")
@@ -229,7 +240,7 @@ def _cmd_poly(args) -> int:
 
 
 def _cmd_regions(args) -> int:
-    graph, _, _ = _resolve_source(args)
+    graph, _, _ = _resolve_source(args, with_forms=False)
     print(region_count(graph, args.max_edges))
     return EXIT_OK
 

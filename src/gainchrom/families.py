@@ -17,6 +17,7 @@ simply may disagree with the coloring counts.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -156,27 +157,42 @@ def sc_partition_closed_forms(pi: SetPartition) -> ClosedForms:
     if k == 0:
         return ClosedForms(ONE, ONE, ONE, 0, 1)
     d = lower_degrees(pi)
-    integral = ONE
-    zero_free = Q
-    for i in range(1, k + 1):
-        integral = integral * (Q - (k - 1 + d[i - 1]))
-        if i >= 2:
-            zero_free = zero_free * (Q - (k + d[i - 1]))
+    integral, zero_free = _degree_products(k, d)
     dmax = max(d)
     return ClosedForms(integral, zero_free, zero_free, k - 1 + dmax, k + dmax)
 
 
+def _degree_products(k: int, d: tuple[int, ...]) -> tuple[Poly2, Poly2]:
+    """prod_i (q-k+1-d_i) and q prod_{i>=2} (q-k-d_i) for k blocks whose
+    lower degrees d start with d_1 = 0; any order of d with a 0 first gives
+    the same products."""
+    integral = ONE
+    zero_free = Q
+    for i, di in enumerate(d):
+        integral = integral * (Q - (k - 1 + di))
+        if i:
+            zero_free = zero_free * (Q - (k + di))
+    return integral, zero_free
+
+
 def linial_closed_forms(n: int) -> ClosedForms:
     """Sums of the sc partition forms over all partitions of [n]; integral
-    valid from q >= n-1, modular from q >= n."""
+    valid from q >= n-1, modular from q >= n.
+
+    The forms depend only on the block count and the multiset of lower
+    degrees, so each distinct pair is multiplied out once and scaled by the
+    number of partitions sharing it (54 products instead of Bell(8) = 4140
+    at n = 8).
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
+    shapes = Counter((len(pi), tuple(sorted(lower_degrees(pi)))) for pi in set_partitions(n))
     integral = Poly2.zero()
     zero_free = Poly2.zero()
-    for pi in set_partitions(n):
-        forms = sc_partition_closed_forms(pi)
-        integral = integral + forms.integral
-        zero_free = zero_free + forms.zero_free
+    for (k, d), count in shapes.items():
+        shape_integral, shape_zero_free = _degree_products(k, d)
+        integral = integral + count * shape_integral
+        zero_free = zero_free + count * shape_zero_free
     return ClosedForms(integral, zero_free, zero_free, n - 1, n)
 
 

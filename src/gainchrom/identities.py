@@ -93,16 +93,6 @@ def _cached_modular(g: IntegralGainGraph, q: int) -> int:
     return count_modular_colorings(g, q)
 
 
-@lru_cache(maxsize=None)
-def _cached_zero_free(g: IntegralGainGraph, max_edges: int) -> Poly2:
-    return zero_free_poly(g, max_edges)
-
-
-@lru_cache(maxsize=None)
-def _cached_total(g: IntegralGainGraph, max_edges: int) -> Poly2:
-    return total_poly(g, max_edges)
-
-
 def apply_selector(
     selector: str,
     g: IntegralGainGraph,
@@ -115,9 +105,9 @@ def apply_selector(
     if selector == "modular":
         return {q: _cached_modular(g, q) for q in sample_q if q >= 1}
     if selector == "zero_free":
-        return _cached_zero_free(g, max_edges)
+        return zero_free_poly(g, max_edges)
     if selector == "total":
-        return _cached_total(g, max_edges)
+        return total_poly(g, max_edges)
     raise ValueError(f"unknown selector {selector!r}")
 
 
@@ -314,13 +304,13 @@ def check_linial_partition_expansion(
 
 def _zero_free_shifted(g: IntegralGainGraph, max_edges: int) -> Poly2:
     """Zero-free polynomial of g with q replaced by q - z."""
-    return _cached_zero_free(g, max_edges).substitute_q(Q - Z)
+    return zero_free_poly(g, max_edges).substitute_q(Q - Z)
 
 
 def check_total_split(g: IntegralGainGraph, max_edges: int = 26) -> CheckReport:
     """total(q, z) == sum over vertex subsets W of
     ordinary_chromatic(underlying graph on V-W)(z) * zero_free(g|W)(q - z)."""
-    lhs = _cached_total(g, max_edges)
+    lhs = total_poly(g, max_edges)
     vertices = list(range(1, g.n + 1))
     rhs = Poly2.zero()
     for size in range(g.n + 1):
@@ -344,7 +334,7 @@ def check_total_uniform(family: str, n: int, max_edges: int = 26) -> CheckReport
     by explicit vertex subsets."""
     build = FAMILY_BUILDERS[family]
     whole = build(n)
-    lhs = _cached_total(whole, max_edges)
+    lhs = total_poly(whole, max_edges)
     rhs_uniform = Poly2.zero()
     for j in range(n + 1):
         part = build(j) if j else IntegralGainGraph(0)
@@ -366,7 +356,7 @@ def check_disjoint_union_product(
 ) -> CheckReport:
     """total(g1 + g2) == total(g1) * total(g2) for disjoint unions."""
     lhs = total_poly(g1.disjoint_union(g2), max_edges)
-    rhs = _cached_total(g1, max_edges) * _cached_total(g2, max_edges)
+    rhs = total_poly(g1, max_edges) * total_poly(g2, max_edges)
     return _report("disjoint-union-product", f"{_describe(g1)} + {_describe(g2)}", lhs, rhs)
 
 
@@ -378,7 +368,7 @@ def check_modular_threshold(g: IntegralGainGraph, span: int = 4, max_edges: int 
     circle gain.  The value at the threshold itself is recorded, not asserted."""
     top = g.max_circle_gain()
     start = (top if top is not None else 0) + 1
-    zf = _cached_zero_free(g, max_edges)
+    zf = zero_free_poly(g, max_edges)
     lhs = {q: _cached_modular(g, q) for q in range(start, start + span)}
     rhs = {q: zf.evaluate(q) for q in range(start, start + span)}
     notes = None
@@ -442,8 +432,8 @@ def run_invariance_suite(
         return switched_mod[h, q]
 
     for g in corpus:
-        base_total = _cached_total(g, max_edges)
-        base_zero_free = _cached_zero_free(g, max_edges)
+        base_total = total_poly(g, max_edges)
+        base_zero_free = zero_free_poly(g, max_edges)
         base_mod = {q: _cached_modular(g, q) for q in mod_sample}
         for _ in range(switchings):
             eta = random_switching(g, rng)
@@ -500,7 +490,7 @@ def run_invariance_suite(
             failures.append((_describe(g), "integral"))
         elif any(_cached_modular(g, q) for q in range(1, 5)):
             failures.append((_describe(g), "modular"))
-        elif _cached_total(g, max_edges):
+        elif total_poly(g, max_edges):
             failures.append((_describe(g), "total"))
     reports.append(
         CheckReport(
@@ -526,7 +516,7 @@ def run_invariance_suite(
             count_modular_colorings(doubled, q) != _cached_modular(g, q) for q in range(1, 5)
         ):
             failures.append((_describe(g), "modular"))
-        elif total_poly(doubled, max_edges) != _cached_total(g, max_edges):
+        elif total_poly(doubled, max_edges) != total_poly(g, max_edges):
             failures.append((_describe(g), "total"))
     reports.append(
         CheckReport(
@@ -556,7 +546,7 @@ def run_invariance_suite(
             failures.append((_describe(g), "integral"))
         elif any(_cached_modular(stripped, q) != _cached_modular(g, q) for q in loop_qs):
             failures.append((_describe(g), "modular"))
-        elif _cached_zero_free(stripped, max_edges) != _cached_zero_free(g, max_edges):
+        elif zero_free_poly(stripped, max_edges) != zero_free_poly(g, max_edges):
             failures.append((_describe(g), "zero-free"))
     reports.append(
         CheckReport(
@@ -589,7 +579,7 @@ def run_invariance_suite(
                 == _cached_modular(deleted, q) - _cached_modular(contracted, q)
                 for q in range(1, 5)
             )
-            ok = ok and _cached_total(g, max_edges) == _cached_total(deleted, max_edges) - _cached_total(
+            ok = ok and total_poly(g, max_edges) == total_poly(deleted, max_edges) - total_poly(
                 contracted, max_edges
             )
             if not ok:

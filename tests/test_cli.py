@@ -125,6 +125,38 @@ def test_sc_minus_edges_file(tmp_path, capsys):
     assert out == "4\t6\n"  # sc with a full minus graph on [2] is catalan_2
 
 
+@pytest.mark.parametrize(
+    "source, regions",
+    [(["--family", "linial", "--n", "7"], 21652), (["--family", "sc", "--partition", "1 3|2 5|4 6"], 25)],
+    ids=["linial-7", "sc-partition"],
+)
+def test_regions_build_no_closed_forms(monkeypatch, capsys, source, regions):
+    # region counts print no closed form, so none may be built
+    def refuse(*_):
+        raise AssertionError("closed forms built for a region count")
+
+    monkeypatch.setattr("gainchrom.cli.FAMILY_CLOSED_FORMS", {"linial": refuse})
+    monkeypatch.setattr("gainchrom.cli.sc_partition_closed_forms", refuse)
+    assert run_cli(capsys, "regions", *source) == (0, f"{regions}\n")
+    assert run_cli(capsys, "eval", "--function", "regions", *source) == (0, f"regions\t{regions}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["regions"], ["eval", "--function", "regions"], ["poly", "--function", "chromatic"],
+     ["eval", "--function", "integral", "--q", "3"]],
+    ids=["regions", "eval-regions", "poly-chromatic", "eval-integral"],
+)
+def test_sc_minus_edges_on_no_vertices_is_refused(tmp_path, capsys, argv):
+    path = tmp_path / "minus.json"
+    path.write_text(json.dumps({"n": 0, "edges": []}))
+    code = main([*argv, "--family", "sc", "--minus-edges", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: graphs on at least one vertex only\n"
+
+
 def test_sc_family_partition(capsys):
     code, out = run_cli(
         capsys,

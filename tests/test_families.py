@@ -28,7 +28,7 @@ from gainchrom.families import (
     shi_closed_forms,
     shi_graph,
 )
-from gainchrom.poly import Q
+from gainchrom.poly import Q, Poly2
 
 
 def test_builders():
@@ -196,6 +196,19 @@ def test_linial_closed_forms():
         for q in range(n, n + 5):
             assert forms.modular.evaluate(q) == count_modular_colorings(graph, q)
         assert forms.zero_free == zero_free_poly(graph)
+
+
+def test_linial_closed_forms_sum_the_partition_forms():
+    # the grouped sum must equal the plain sum over every partition of [n]
+    for n in range(1, 7):
+        integral = zero_free = Poly2.zero()
+        for pi in set_partitions(n):
+            forms = sc_partition_closed_forms(pi)
+            integral = integral + forms.integral
+            zero_free = zero_free + forms.zero_free
+        forms = linial_closed_forms(n)
+        assert (forms.integral, forms.zero_free, forms.modular) == (integral, zero_free, zero_free)
+        assert (forms.integral_min_q, forms.modular_min_q) == (n - 1, n)
 
 
 def test_linial_athanasiadis():

@@ -9,6 +9,7 @@ from __future__ import annotations
 import random
 from itertools import combinations, product
 
+from gainchrom import chromatic
 from gainchrom.chromatic import (
     count_integral_colorings,
     count_modular_colorings,
@@ -192,3 +193,55 @@ def test_balanced_contraction_commutes_with_switching_up_to_functions():
             a = g.contract_balanced_set(subset)
             b = switched.contract_balanced_set(subset)
             assert total_poly(a) == total_poly(b), (g, eta, subset)
+
+
+def _memo_states() -> int:
+    return sum(map(len, chromatic._memos.values()))
+
+
+def test_shared_memo_is_independent_of_call_history():
+    # the memo outlives each call, so switchings, doublings and reductions
+    # of one graph hit entries left by another; every answer must still be
+    # the one computed alone, in either call order
+    rng = random.Random(613)
+    # one memo key for both, balanced mod 2 only: the circle 2-3-1-2 has gain 2
+    circle = IntegralGainGraph(3, [(1, 2, 0), (1, 3, 0), (2, 3, 1), (1, 2, 1)])
+    cases = [circle, circle.reduce_mod(2)]
+    for _ in range(40):
+        g = random_graph(rng, max_n=5, max_m=6, gain_bound=3)
+        edges = list(g.edges)
+        if g.n:
+            t, h, gain = rng.choice(edges) if edges else (1, g.n, 0)
+            edges.append((t, h, gain + rng.choice([-2, -1, 1, 2])))  # a parallel link
+            v = rng.randint(1, g.n)
+            edges.append((v, v, rng.choice([-2, -1, 1, 2])))  # a nonzero loop
+        g = IntegralGainGraph(g.n, edges)
+        switched = g.switch([rng.randint(-3, 3) for _ in range(g.n)])
+        doubled = IntegralGainGraph(g.n, edges + edges[: len(edges) // 2])
+        for graph in (g, switched, doubled):
+            cases.append(graph)
+            cases.append(graph.reduce_mod(rng.randint(2, 5)))
+    expected = [naive_total(graph) for graph in cases]
+    chromatic._memos.clear()
+    for order in (range(len(cases)), reversed(range(len(cases)))):
+        for i in order:
+            assert total_poly(cases[i]) == expected[i], cases[i]
+            assert zero_free_poly(cases[i]) == expected[i].substitute_z(0), cases[i]
+    assert _memo_states() > 0
+
+
+def test_shared_memo_is_bounded_between_calls(monkeypatch):
+    rng = random.Random(5)
+    edges = [(rng.randint(1, 6), rng.randint(1, 6), rng.randint(-2, 2)) for _ in range(16)]
+    g = IntegralGainGraph(6, [e for e in edges if e[0] != e[1]])
+    chromatic._memos.clear()
+    expected = total_poly(g)
+    assert _memo_states() > 20
+    monkeypatch.setattr(chromatic, "_MEMO_STATES", 20)
+    chromatic._memos.clear()
+    assert total_poly(g) == expected
+    assert len(chromatic._memos) + _memo_states() <= 20
+    # a call that stays within the bound keeps its states
+    small = IntegralGainGraph(3, [(1, 2, 1), (2, 3, 0), (1, 3, 2)])
+    assert total_poly(small) == naive_total(small)
+    assert 0 < len(chromatic._memos) + _memo_states() <= 20
