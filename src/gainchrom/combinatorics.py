@@ -234,9 +234,12 @@ def overlap_graph(pi: SetPartition) -> tuple[SimpleGraph, tuple[tuple[int, int],
 
 
 def lower_degrees(pi: SetPartition) -> tuple[int, ...]:
-    """d_i = number of earlier blocks whose span overlaps block i's span."""
-    g, _ = overlap_graph(pi)
-    return tuple(sum(1 for j in range(1, i) if g.has_edge(j, i)) for i in range(1, g.n + 1))
+    """d_i = number of earlier blocks whose span overlaps block i's span.
+
+    Blocks are ordered by least element, so an earlier span overlaps span i
+    exactly when it reaches past i's least element."""
+    spans = [(b[0], b[-1]) for b in normalize_partition(pi)]
+    return tuple(sum(1 for _, hi in spans[:i] if hi >= lo) for i, (lo, _) in enumerate(spans))
 
 
 def ascents(d: tuple[int, ...]) -> frozenset[int]:

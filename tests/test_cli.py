@@ -211,6 +211,26 @@ def test_verify_all_output_bytes_are_pinned(capsys, extra, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+# The same pin for `verify --graph` on one 5-vertex graph with a gain-2 loop,
+# a parallel pair and two gain-0 links: its reports print sampled counts and
+# polynomials of graphs beyond the n <= 2 corpus.
+@pytest.mark.parametrize(
+    "extra, digest",
+    [
+        ([], "fe42cd409022eeb88d5ad884120e9ea903383df86596aab32e6bbb6fe36a8d4b"),
+        (["--json"], "19a3926f51675d5798bd5bbd60703fca79a96ea1994a4e16f0d97ea578873298"),
+    ],
+    ids=["text", "json"],
+)
+def test_verify_graph_output_bytes_are_pinned(tmp_path, capsys, extra, digest):
+    path = tmp_path / "graph.json"
+    edges = [[3, 2, 0], [1, 3, 2], [5, 3, 1], [3, 3, 2], [4, 5, 1], [3, 2, 2], [2, 5, 0]]
+    path.write_text(json.dumps({"n": 5, "edges": edges}))
+    code, out = run_cli(capsys, "verify", "--graph", str(path), *extra)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 @pytest.mark.parametrize(
     "argv, name, doc",
     [

@@ -155,6 +155,17 @@ def test_lower_degrees():
     assert lower_degrees(((1, 4), (2, 3))) == (0, 1)
 
 
+def test_lower_degrees_read_off_the_overlap_graph():
+    # the direct span count against the earlier neighbours in overlap_graph,
+    # also on blocks given out of order and unsorted
+    for n in range(8):
+        for pi in set_partitions(n):
+            g, _ = overlap_graph(pi)
+            degrees = tuple(sum(1 for j in range(1, i) if g.has_edge(j, i)) for i in range(1, g.n + 1))
+            assert lower_degrees(pi) == degrees
+            assert lower_degrees(tuple(tuple(reversed(b)) for b in reversed(pi))) == degrees
+
+
 def test_ascents():
     assert ascents((0, 1, 1)) == frozenset({1})
     assert ascents((0, 0, 0)) == frozenset()

@@ -4,11 +4,16 @@ from __future__ import annotations
 
 import pytest
 
+from gainchrom import identities
 from gainchrom.chromatic import count_integral_colorings, total_poly
 from gainchrom.families import catalan_graph, hollow_catalan_graph, linial_graph, shi_graph
 from gainchrom.gaingraph import IntegralGainGraph
+from gainchrom.combinatorics import stirling1_signed
 from gainchrom.identities import (
     NeutralEdgePresent,
+    _combine,
+    _describe,
+    _neutral_expansions,
     check_catalan_hollow_relations,
     check_disjoint_union_product,
     check_linial_partition_expansion,
@@ -23,7 +28,7 @@ from gainchrom.identities import (
     fixture_corpus,
     run_invariance_suite,
 )
-from gainchrom.poly import Q, Z, falling_factorial
+from gainchrom.poly import Q, Z, Poly2, falling_factorial
 
 
 def test_ordinary_expansions():
@@ -56,6 +61,21 @@ def test_neutral_subset_reduction_neutral_loop():
     for selector in ("integral", "zero_free", "total"):
         report = check_neutral_subset_reduction(g, selector, range(5))
         assert report.passed
+
+
+def test_neutral_subset_and_flat_expansions_are_equal_combinations():
+    # the first reduction before any chromatic function is applied: a gain-0
+    # subset and its closure contract to the same minor, so the subset terms
+    # and the Mobius-weighted flat terms combine to the same element
+    terms = distinct = nonzero = 0
+    for g in fixture_corpus():
+        subsets, flats = _neutral_expansions(g)
+        combination = _combine(subsets)
+        assert combination == _combine(flats)
+        terms += len(subsets)
+        distinct += len({minor for minor, _ in subsets})
+        nonzero += len(combination)
+    assert (terms, distinct, nonzero) == (1357, 723, 328)
 
 
 def test_neutral_subset_reduction_zero_free_catalan():
@@ -172,3 +192,61 @@ def test_invariance_suite_on_one_graph_with_a_gain_2_loop():
     g = IntegralGainGraph(2, [(1, 1, 2), (1, 2, 1)])
     reports = run_invariance_suite([g], switchings=3, union_samples=2)
     assert [r.identity for r in reports if not r.passed] == []
+
+
+@pytest.fixture
+def fresh_oracle_memo():
+    identities._count.cache_clear()
+    yield
+    identities._count.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "name, label",
+    [
+        ("count_integral_colorings", "integral"),
+        ("count_modular_colorings", "modular"),
+        ("total_poly", "total"),
+        ("zero_free_poly", "zero-free"),
+    ],
+)
+def test_invariance_laws_report_their_failures(monkeypatch, fresh_oracle_memo, name, label):
+    # a function that counts edges breaks every law it takes part in, and
+    # each law names the first function it fails under
+    if name.startswith("count_"):
+        monkeypatch.setattr(identities, name, lambda g, q: len(g.edges))
+    else:
+        monkeypatch.setattr(identities, name, lambda g, max_edges=26: Poly2.const(len(g.edges)))
+    loop = IntegralGainGraph(2, [(1, 1, 0), (1, 2, 1)])  # a gain-0 loop
+    link = IntegralGainGraph(2, [(1, 1, 1), (1, 2, 0)])  # a gain-1 loop and a gain-0 link
+    reports = run_invariance_suite([loop, link], switchings=1, union_samples=1)
+    witnesses = {r.identity: r.witness for r in reports}
+    # nullity, simplification and deletion-contraction cover the integral,
+    # modular and total functions; loop independence swaps total for zero-free
+    covered = label in ("integral", "modular", "total")
+    loop_covered = label in ("integral", "modular", "zero-free")
+    expected = {
+        "neutral-loop-nullity": [(_describe(loop), label)] if covered else None,
+        "simplification-invariance": [(_describe(loop), label), (_describe(link), label)]
+        if covered
+        else None,
+        "loop-independence": [(_describe(link), label)] if loop_covered else None,
+        "neutral-deletion-contraction": [(_describe(link), 1)] if covered else None,
+    }
+    assert {identity: witnesses[identity] for identity in expected} == expected
+
+
+def test_catalan_relations_report_the_relation_that_fails(monkeypatch, fresh_oracle_memo):
+    # hollow_2 enters only the second relation, F(catalan_3) == sum_j
+    # s(3,j) F(hollow_j), so a count off by one there fails that relation alone
+    hollow_2 = hollow_catalan_graph(2)
+
+    def off_by_one(g, q):
+        return count_integral_colorings(g, q) + (g == hollow_2)
+
+    monkeypatch.setattr(identities, "count_integral_colorings", off_by_one)
+    report = check_catalan_hollow_relations(3, "integral", [4])
+    lhs = count_integral_colorings(catalan_graph(3), 4)
+    assert not report.passed
+    assert report.lhs == {4: lhs}
+    assert report.witness == ("q", 4, lhs, lhs + stirling1_signed(3, 2))
