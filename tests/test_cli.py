@@ -231,6 +231,53 @@ def test_verify_graph_output_bytes_are_pinned(tmp_path, capsys, extra, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+def _function_matrix():
+    """eval, poly and regions over every function, output format, a
+    below-threshold and a negative --q, a missing --q and a tripped edge guard."""
+    for function in ("integral", "modular", "zero-free", "chromatic", "total"):
+        for extra in (
+            ["--q", "0", "--q", "1", "--q", "5"],
+            ["--q", "2", "--q", "-1"],
+            ["--q", "3", "--json"],
+            ["--q", "3", "--max-edges", "2"],
+            [],
+        ):
+            yield ["eval", "--function", function, *extra]
+        for extra in ([], ["--json"], ["--max-edges", "2"]):
+            yield ["poly", "--function", function, *extra]
+    for z in ("0", "2"):
+        yield ["eval", "--function", "total", "--q", "3", "--z", z]
+        yield ["eval", "--function", "total", "--q", "3", "--z", z, "--json"]
+    for extra in ([], ["--json"], ["--max-edges", "2"]):
+        yield ["eval", "--function", "regions", *extra]
+    for extra in ([], ["--max-edges", "2"]):
+        yield ["regions", *extra]
+
+
+# sha256 of the exit code, stdout and stderr of every command of
+# _function_matrix on one source, pinned like the verify output above.
+@pytest.mark.parametrize(
+    "source, digest",
+    [
+        (["--graph", "g.json"], "d1ade0abec6b3d089881c69765ffe697c92c3c89ccf7af5df7b18498b2b62be2"),
+        (["--family", "shi", "--n", "3"], "7c008263b281784c55d9cfb611bd4f38329ef4f66261f07a435f5b071aed3a37"),
+        (["--family", "sc", "--partition", "1 3|2 5|4 6"], "2a69dbd607a079d62f4cd9b309d9a5e6429546bd9e427bf163116f137fae6186"),
+        (["--family", "sc", "--minus-edges", "minus.json"], "f0f0d350859dfdb2bee2157cf7ea033ba79459b766b4c451f6a327ae154e3f70"),
+    ],
+    ids=["file", "family", "sc-partition", "sc-minus-edges"],
+)
+def test_function_matrix_output_bytes_are_pinned(tmp_path, monkeypatch, capsys, source, digest):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.json").write_text(json.dumps({"n": 3, "edges": [[1, 2, 1], [2, 3, -1], [1, 3, 0], [2, 2, 1]]}))
+    (tmp_path / "minus.json").write_text(json.dumps({"n": 3, "edges": [[1, 2]]}))
+    sha = hashlib.sha256()
+    for argv in _function_matrix():
+        code = main([*argv, *source])
+        captured = capsys.readouterr()
+        sha.update(repr((argv, code, captured.out, captured.err)).encode("utf-8"))
+    assert sha.hexdigest() == digest
+
+
 @pytest.mark.parametrize(
     "argv, name, doc",
     [
