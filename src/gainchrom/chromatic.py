@@ -330,38 +330,34 @@ _memos: dict[tuple[int | None, bool], dict] = {}
 
 
 def _expand_subsets(
-    n: int,
-    edges: tuple[tuple[int, int, int], ...],
-    modulus: int | None,
-    balanced_only: bool,
-) -> dict[tuple[int, int], int]:
+    g: IntegralGainGraph | ModularGainGraph, max_edges: int, balanced_only: bool
+) -> Poly2:
     """Signed counts of (balanced components, unbalanced components) over subsets.
 
-    Computed by memoised deletion-contraction, never by walking the subsets.
-    A gain-0 loop makes the sum vanish; with ``balanced_only`` the nonzero
-    loops are dropped, since no balanced subset holds one.  The result may
-    be a memo entry, so callers must not mutate it.
+    Computed by memoised deletion-contraction, never by walking the subsets;
+    the one edge guard of every polynomial function.  A gain-0 loop makes
+    the sum vanish; with ``balanced_only`` the nonzero loops are dropped,
+    since no balanced subset holds one.
     """
+    if len(g.edges) > max_edges:
+        raise TooManyEdges(f"{len(g.edges)} edges exceed the expansion bound {max_edges}")
+    modulus = getattr(g, "modulus", None)
     links = set()
-    flags = [False] * (n + 1)
-    for t, h, gain in edges:
+    flags = [False] * (g.n + 1)
+    for t, h, gain in g.edges:
         if t != h:
             links.add(_link(t, h, gain, modulus))
         elif _reduce(gain, modulus) == 0:
-            return {}
+            return Poly2()
         elif not balanced_only:
             flags[t] = True
     loops = not balanced_only
     memo = _memos.setdefault((modulus, loops), {})
     try:
-        return _total(n, frozenset(links), tuple(flags), modulus, loops, memo)
+        return Poly2(_total(g.n, frozenset(links), tuple(flags), modulus, loops, memo))
     finally:
         if len(_memos) + sum(map(len, _memos.values())) > _MEMO_STATES:
             _memos.clear()
-
-
-def _modulus_of(g: IntegralGainGraph | ModularGainGraph) -> int | None:
-    return getattr(g, "modulus", None)
 
 
 def total_poly(g: IntegralGainGraph | ModularGainGraph, max_edges: int = 26) -> Poly2:
@@ -370,18 +366,12 @@ def total_poly(g: IntegralGainGraph | ModularGainGraph, max_edges: int = 26) -> 
     states can still grow exponentially, so guarded by max_edges.  The memo
     is keyed by the switching-normalised state and shared across calls, up
     to a bounded number of states, so switched graphs cost one lookup."""
-    if len(g.edges) > max_edges:
-        raise TooManyEdges(f"{len(g.edges)} edges exceed the expansion bound {max_edges}")
-    terms = _expand_subsets(g.n, g.edges, _modulus_of(g), balanced_only=False)
-    return Poly2(terms)
+    return _expand_subsets(g, max_edges, balanced_only=False)
 
 
 def zero_free_poly(g: IntegralGainGraph | ModularGainGraph, max_edges: int = 26) -> Poly2:
     """The z = 0 slice of total_poly: the sum over balanced subsets only."""
-    if len(g.edges) > max_edges:
-        raise TooManyEdges(f"{len(g.edges)} edges exceed the expansion bound {max_edges}")
-    terms = _expand_subsets(g.n, g.edges, _modulus_of(g), balanced_only=True)
-    return Poly2(terms)
+    return _expand_subsets(g, max_edges, balanced_only=True)
 
 
 def chromatic_poly(g: IntegralGainGraph | ModularGainGraph, max_edges: int = 26) -> Poly2:
@@ -392,9 +382,7 @@ def chromatic_poly(g: IntegralGainGraph | ModularGainGraph, max_edges: int = 26)
 def ordinary_chromatic_poly(n: int, pairs: list[tuple[int, int]]) -> Poly2:
     """Chromatic polynomial of an ordinary multigraph: the total polynomial
     with every gain 0, so loops make it vanish."""
-    edges = tuple((a, b, 0) for a, b in pairs)
-    terms = _expand_subsets(n, edges, None, balanced_only=False)
-    return Poly2(terms)
+    return total_poly(IntegralGainGraph(n, [(a, b, 0) for a, b in pairs]), max_edges=len(pairs))
 
 
 def region_count(g: IntegralGainGraph, max_edges: int = 26) -> int:

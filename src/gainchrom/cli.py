@@ -3,15 +3,18 @@
 Subcommands: eval, poly, regions, verify, lds.  Graphs come from a JSON
 file ({"n": ..., "edges": [[tail, head, gain], ...]}) or from a named
 family.  Output is TSV by default, JSON with --json; exit codes are 0 for
-success / all checks passed, 1 for a failed check, 2 for usage errors, and
-3 when an expansion guard trips.
+success / all checks passed, 1 for a failed check, 2 for usage errors,
+3 when an edge guard trips, and 141 (128 + SIGPIPE) when the reader closes
+stdout before the output ends.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from collections.abc import Callable
 
 from .chromatic import (
     TooManyEdges,
@@ -62,6 +65,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_GUARD = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 
 
 def _usage_error(message: str) -> "SystemExit":
@@ -114,14 +118,9 @@ def _add_source_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--minus-edges", metavar="FILE", help="JSON simple graph for --family sc")
 
 
-_CLOSED_FORM_FUNCTIONS = ("integral", "modular", "zero-free")
-
-
-def _resolve_source(
-    args, with_forms: bool
-) -> tuple[IntegralGainGraph, ClosedForms | None, str]:
-    """Build the graph, plus its closed forms when the source is a family
-    and ``with_forms`` asks for them."""
+def _resolve_source(args) -> tuple[IntegralGainGraph, Callable[[], ClosedForms] | None, str]:
+    """Build the graph, plus a builder of its closed forms when the source
+    is a family; only _polynomial calls the builder."""
     if bool(args.graph) == bool(args.family):
         raise _usage_error("exactly one of --graph or --family is required")
     if args.graph:
@@ -132,17 +131,37 @@ def _resolve_source(
             raise _usage_error("--family sc needs exactly one of --partition or --minus-edges")
         if args.partition:
             pi = parse_partition(args.partition)
-            forms = sc_partition_closed_forms(pi) if with_forms else None
-            return sc_partition_graph(pi), forms, f"sc({args.partition})"
+            return sc_partition_graph(pi), lambda: sc_partition_closed_forms(pi), f"sc({args.partition})"
         minus = _load_minus_edges(args.minus_edges)
         if minus.n < 1:
             raise _usage_error("graphs on at least one vertex only")
-        forms = sc_path_closed_forms(minus) if with_forms else None
-        return sc_graph(minus), forms, f"sc({args.minus_edges})"
+        return sc_graph(minus), lambda: sc_path_closed_forms(minus), f"sc({args.minus_edges})"
     if args.n is None or args.n < 1:
         raise _usage_error(f"--family {name} needs --n >= 1")
-    forms = FAMILY_CLOSED_FORMS[name](args.n) if with_forms else None
-    return FAMILY_BUILDERS[name](args.n), forms, f"{name}({args.n})"
+    return FAMILY_BUILDERS[name](args.n), lambda: FAMILY_CLOSED_FORMS[name](args.n), f"{name}({args.n})"
+
+
+def _polynomial(
+    function: str, graph: IntegralGainGraph, forms: Callable[[], ClosedForms] | None, max_edges: int
+) -> tuple[Poly2 | None, int | None]:
+    """The polynomial a function is read from, and the least q it holds from.
+
+    A family's integral, modular and zero-free functions are its closed
+    forms; the zero-free, chromatic and total functions of any other graph
+    come from deletion-contraction.  (None, None) leaves a file graph's
+    integral and modular counts to the colouring oracles.
+    """
+    if forms is not None and function not in ("chromatic", "total"):
+        built = forms()
+        return {
+            "integral": (built.integral, built.integral_min_q),
+            "modular": (built.modular, built.modular_min_q),
+            "zero-free": (built.zero_free, None),
+        }[function]
+    if function in ("integral", "modular"):
+        return None, None
+    engine = {"zero-free": zero_free_poly, "chromatic": chromatic_poly, "total": total_poly}[function]
+    return engine(graph, max_edges), None
 
 
 def _print_rows(rows: list[dict], args, function: str, source: str, poly: Poly2 | None) -> None:
@@ -164,9 +183,7 @@ def _print_rows(rows: list[dict], args, function: str, source: str, poly: Poly2 
 
 def _cmd_eval(args) -> int:
     function = args.function
-    graph, forms, source = _resolve_source(args, function in _CLOSED_FORM_FUNCTIONS)
-    qs = args.q or []
-    rows: list[dict] = []
+    graph, forms, source = _resolve_source(args)
     if function == "regions":
         value = region_count(graph, args.max_edges)
         if args.json:
@@ -174,64 +191,31 @@ def _cmd_eval(args) -> int:
         else:
             print(f"regions\t{value}")
         return EXIT_OK
+    qs = args.q
     if not qs:
         raise _usage_error("--q is required (repeatable)")
-    if forms is not None:
-        poly, min_q = {
-            "integral": (forms.integral, forms.integral_min_q),
-            "modular": (forms.modular, forms.modular_min_q),
-            "zero-free": (forms.zero_free, None),
-        }[function]
-        for q in qs:
-            row = {"q": q, "z": 0 if function == "zero-free" else None, "value": poly.evaluate(q)}
-            if min_q is not None and q < min_q:
-                row["below_valid_range"] = True
-            rows.append(row)
-        _print_rows(rows, args, function, source, poly)
-        return EXIT_OK
-    if function == "integral":
-        rows = [{"q": q, "z": None, "value": count_integral_colorings(graph, q)} for q in qs]
-    elif function == "modular":
-        for q in qs:
-            if q < 1:
-                raise _usage_error("modular counting needs q >= 1")
-        rows = [{"q": q, "z": None, "value": count_modular_colorings(graph, q)} for q in qs]
-    elif function == "zero-free":
-        poly = zero_free_poly(graph, args.max_edges)
-        rows = [{"q": q, "z": 0, "value": poly.evaluate(q)} for q in qs]
-        _print_rows(rows, args, function, source, poly)
-        return EXIT_OK
-    elif function == "chromatic":
-        poly = chromatic_poly(graph, args.max_edges)
-        rows = [{"q": q, "z": 1, "value": poly.evaluate(q)} for q in qs]
-        _print_rows(rows, args, function, source, poly)
-        return EXIT_OK
-    elif function == "total":
-        poly = total_poly(graph, args.max_edges)
-        rows = [{"q": q, "z": args.z, "value": poly.evaluate(q, args.z)} for q in qs]
-        _print_rows(rows, args, function, source, poly)
-        return EXIT_OK
-    else:
-        raise _usage_error(f"unknown function {function!r}")
-    _print_rows(rows, args, function, source, None)
+    poly, min_q = _polynomial(function, graph, forms, args.max_edges)
+    if poly is None and function == "modular" and min(qs) < 1:
+        raise _usage_error("modular counting needs q >= 1")
+    oracle = count_integral_colorings if function == "integral" else count_modular_colorings
+    z = {"zero-free": 0, "chromatic": 1, "total": args.z}.get(function)
+    rows: list[dict] = []
+    for q in qs:
+        value = oracle(graph, q) if poly is None else poly.evaluate(q, z or 0)
+        row = {"q": q, "z": z, "value": value}
+        if min_q is not None and q < min_q:
+            row["below_valid_range"] = True
+        rows.append(row)
+    _print_rows(rows, args, function, source, poly)
     return EXIT_OK
 
 
 def _cmd_poly(args) -> int:
     function = args.function
-    graph, forms, source = _resolve_source(args, function in _CLOSED_FORM_FUNCTIONS)
-    if function in ("integral", "modular"):
-        if forms is None:
-            raise _usage_error(f"{function} is a closed form for families only; file graphs have no {function} polynomial")
-        poly = forms.integral if function == "integral" else forms.modular
-    elif function == "zero-free":
-        poly = forms.zero_free if forms is not None else zero_free_poly(graph, args.max_edges)
-    elif function == "chromatic":
-        poly = chromatic_poly(graph, args.max_edges)
-    elif function == "total":
-        poly = total_poly(graph, args.max_edges)
-    else:
-        raise _usage_error(f"unknown function {function!r}")
+    graph, forms, source = _resolve_source(args)
+    poly, _ = _polynomial(function, graph, forms, args.max_edges)
+    if poly is None:
+        raise _usage_error(f"{function} is a closed form for families only; file graphs have no {function} polynomial")
     if args.json:
         print(json.dumps({"function": function, "graph": source, "results": None, "polynomial": poly_to_term_list(poly)}))
     else:
@@ -240,7 +224,7 @@ def _cmd_poly(args) -> int:
 
 
 def _cmd_regions(args) -> int:
-    graph, _, _ = _resolve_source(args, with_forms=False)
+    graph, _, _ = _resolve_source(args)
     print(region_count(graph, args.max_edges))
     return EXIT_OK
 
@@ -256,8 +240,15 @@ def _emit_report(report, as_json: bool) -> None:
         print(line)
 
 
+_CORPUS_CHECKS = {
+    "first": check_neutral_subset_reduction,
+    "second": check_stable_partition_reduction,
+    "complete": check_partition_complete_reduction,
+}
+
+
 def _cmd_verify(args) -> int:
-    n = args.n if args.n is not None else 3
+    n = args.n
     reports = []
     if args.graph:
         corpus: tuple[IntegralGainGraph, ...] = (_load_graph_file(args.graph),)
@@ -269,26 +260,19 @@ def _cmd_verify(args) -> int:
         else [args.suite]
     )
     for suite in suites:
-        if suite == "first":
+        if suite in _CORPUS_CHECKS:
+            check = _CORPUS_CHECKS[suite]
             for g in corpus:
-                reports.append(check_neutral_subset_reduction(g, "integral", range(0, 6), args.max_edges))
-                reports.append(check_neutral_subset_reduction(g, "zero_free", max_edges=args.max_edges))
-        elif suite == "second":
-            for g in corpus:
-                reports.append(check_stable_partition_reduction(g, "integral", range(0, 6), args.max_edges))
-                reports.append(check_stable_partition_reduction(g, "zero_free", max_edges=args.max_edges))
-        elif suite == "complete":
-            for g in corpus:
-                if g.neutral_indices():
+                if suite == "complete" and g.neutral_indices():
                     continue
-                reports.append(check_partition_complete_reduction(g, "integral", range(0, 6), args.max_edges))
-                reports.append(check_partition_complete_reduction(g, "zero_free", max_edges=args.max_edges))
+                reports.append(check(g, "integral", range(0, 6), args.max_edges))
+                reports.append(check(g, "zero_free", max_edges=args.max_edges))
         elif suite == "catalan":
-            for size in range(1, min(n, 4) + 1):
+            for size in range(1, n + 1):
                 for selector in ("integral", "modular", "zero_free"):
                     reports.append(check_catalan_hollow_relations(size, selector, max_edges=args.max_edges))
         elif suite == "linial":
-            for size in range(1, min(n, 4) + 1):
+            for size in range(1, n + 1):
                 for selector in ("integral", "modular", "zero_free"):
                     reports.append(check_linial_partition_expansion(size, selector, max_edges=args.max_edges))
                 ath = linial_athanasiadis(size)
@@ -309,8 +293,6 @@ def _cmd_verify(args) -> int:
             for g in corpus:
                 for m in (2, 3):
                     reports.append(check_multizero_agreement(g, m, 1, 1, args.max_edges))
-        else:
-            raise _usage_error(f"unknown suite {suite!r}")
     failures = 0
     for report in reports:
         _emit_report(report, args.json)
@@ -361,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--q", type=int, action="append", help="evaluation point (repeatable)")
     p_eval.add_argument("--z", type=int, default=1, help="z value for --function total")
     p_eval.add_argument("--json", action="store_true")
-    p_eval.add_argument("--max-edges", type=int, default=26, help="subset expansion guard")
+    p_eval.add_argument("--max-edges", type=int, default=26, help="deletion-contraction edge guard")
     p_eval.set_defaults(run=_cmd_eval)
 
     p_poly = sub.add_parser("poly", help="print a chromatic polynomial")
@@ -372,12 +354,12 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["integral", "modular", "zero-free", "chromatic", "total"],
     )
     p_poly.add_argument("--json", action="store_true")
-    p_poly.add_argument("--max-edges", type=int, default=26)
+    p_poly.add_argument("--max-edges", type=int, default=26, help="deletion-contraction edge guard")
     p_poly.set_defaults(run=_cmd_poly)
 
     p_regions = sub.add_parser("regions", help="count the regions of the arrangement")
     _add_source_args(p_regions)
-    p_regions.add_argument("--max-edges", type=int, default=26)
+    p_regions.add_argument("--max-edges", type=int, default=26, help="deletion-contraction edge guard")
     p_regions.set_defaults(run=_cmd_regions)
 
     p_verify = sub.add_parser("verify", help="run identity verification suites")
@@ -386,11 +368,17 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
         choices=["all", "first", "second", "complete", "catalan", "linial", "total", "invariance"],
     )
-    p_verify.add_argument("--n", type=int, help="size bound for the suites")
+    p_verify.add_argument(
+        "--n",
+        type=int,
+        default=3,
+        choices=range(5),
+        help="size bound for the suites, default 3: the corpus stops at 3 vertices, the Catalan and Linial suites at 4",
+    )
     p_verify.add_argument("--graph", metavar="FILE", help="verify this graph instead of the corpus")
     p_verify.add_argument("--switchings", type=int, default=25, help="random switchings per graph")
     p_verify.add_argument("--json", action="store_true")
-    p_verify.add_argument("--max-edges", type=int, default=26)
+    p_verify.add_argument("--max-edges", type=int, default=26, help="deletion-contraction edge guard")
     p_verify.set_defaults(run=_cmd_verify)
 
     p_lds = sub.add_parser("lds", help="lower degree sequences of overlap graphs")
@@ -407,7 +395,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early.  Point it at devnull so that the
+        # flush at interpreter exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except TooManyEdges as exc:

@@ -16,8 +16,7 @@ stay distinguishable.
 A switching function is a vertex potential, so balance, components,
 balanced contraction, the subset expansion in chromatic.py and the flat
 closure in combinatorics.py all read one structure: ``_GainDSU``, a
-union-find that keeps each vertex's potential relative to its root and can
-roll back.
+union-find that keeps each vertex's potential relative to its root.
 """
 
 from __future__ import annotations
@@ -54,18 +53,16 @@ def _canonical_edge(n: int, tail: int, head: int, gain: int) -> Edge:
 
 
 class _GainDSU:
-    """Union-find over vertices 1..n with gain potentials and an undo journal.
+    """Union-find over vertices 1..n with gain potentials.
 
     find(v) gives v's root and its potential relative to that root; every
     consistent added edge (tail, head, gain) keeps pot(head) - pot(tail) ==
     gain, modulo ``modulus`` when one is given.  The counters n_comp and
     n_unbal (components containing a circle of nonzero gain) are what
-    balance tests and the expansion exponents read.  rollback(mark) undoes
-    every change since the journal had ``mark`` entries; an edge that
-    changes nothing leaves no entry.
+    balance tests and the expansion exponents read.
     """
 
-    __slots__ = ("parent", "rank", "offset", "unbal", "mod", "n_comp", "n_unbal", "journal")
+    __slots__ = ("parent", "rank", "offset", "unbal", "mod", "n_comp", "n_unbal")
 
     def __init__(self, n: int, modulus: int | None = None):
         self.parent = list(range(n + 1))
@@ -75,7 +72,6 @@ class _GainDSU:
         self.mod = modulus
         self.n_comp = n
         self.n_unbal = 0
-        self.journal: list[tuple] = []
 
     def find(self, v: int) -> tuple[int, int]:
         pot = 0
@@ -89,53 +85,26 @@ class _GainDSU:
     def add_edge(self, t: int, h: int, gain: int) -> None:
         rt, pt = self.find(t)
         rh, ph = self.find(h)
-        if rt == rh:
-            if self.unbal[rt]:
-                return
-            diff = ph - pt - gain
-            if (diff % self.mod if self.mod is not None else diff) != 0:
-                self.unbal[rt] = True
-                self.n_unbal += 1
-                self.journal.append((1, rt))
-            return
-        if self.rank[rt] >= self.rank[rh]:
-            parent_root, child_root = rt, rh
-            delta = gain + pt - ph  # so that pot(head) - pot(tail) == gain
-        else:
-            parent_root, child_root = rh, rt
-            delta = ph - pt - gain
+        if self.rank[rt] < self.rank[rh]:
+            # Union by rank: read the edge backwards so that rt ranks higher.
+            rt, pt, rh, ph, gain = rh, ph, rt, pt, -gain
+        delta = gain + pt - ph  # rh's potential relative to rt, or a circle's gain
         if self.mod is not None:
             delta %= self.mod
-        bumped = self.rank[parent_root] == self.rank[child_root]
-        if bumped:
-            self.rank[parent_root] += 1
-        ua, ub = self.unbal[parent_root], self.unbal[child_root]
-        self.parent[child_root] = parent_root
-        self.offset[child_root] = delta
-        if ub and not ua:
-            self.unbal[parent_root] = True
-        if ua and ub:
-            self.n_unbal -= 1
-        self.n_comp -= 1
-        self.journal.append((2, child_root, parent_root, bumped, ua, ub))
-
-    def rollback(self, mark: int) -> None:
-        while len(self.journal) > mark:
-            entry = self.journal.pop()
-            if entry[0] == 1:
-                self.unbal[entry[1]] = False
-                self.n_unbal -= 1
-                continue
-            _, child_root, parent_root, bumped, ua, ub = entry
-            self.parent[child_root] = child_root
-            self.offset[child_root] = 0
-            if bumped:
-                self.rank[parent_root] -= 1
-            self.unbal[parent_root] = ua
-            self.unbal[child_root] = ub
-            if ua and ub:
+        if rt == rh:
+            if delta and not self.unbal[rt]:
+                self.unbal[rt] = True
                 self.n_unbal += 1
-            self.n_comp += 1
+            return
+        if self.rank[rt] == self.rank[rh]:
+            self.rank[rt] += 1
+        self.parent[rh] = rt
+        self.offset[rh] = delta
+        if self.unbal[rh]:
+            if self.unbal[rt]:
+                self.n_unbal -= 1
+            self.unbal[rt] = True
+        self.n_comp -= 1
 
     def components(self) -> list[list[int]]:
         """Vertex sets of the components, each sorted, ordered by least vertex."""

@@ -199,6 +199,12 @@ def test_ordinary_chromatic_poly():
         assert k3.evaluate(q) == count
 
 
+@pytest.mark.parametrize("n, pairs", [(2, [(1, 3)]), (2, [(0, 1)]), (1, [(2, 2)])], ids=["head", "zero", "loop"])
+def test_ordinary_chromatic_poly_rejects_vertices_out_of_range(n, pairs):
+    with pytest.raises(ValueError, match="out of range"):
+        ordinary_chromatic_poly(n, pairs)
+
+
 # -- multi-zero ------------------------------------------------------------------
 
 

@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gainchrom
 from gainchrom.cli import main, parse_partition
 from gainchrom.families import linial_closed_forms
 from gainchrom.poly import parse_poly, poly_from_term_list
@@ -229,6 +234,43 @@ def test_verify_graph_output_bytes_are_pinned(tmp_path, capsys, extra, digest):
     code, out = run_cli(capsys, "verify", "--graph", str(path), *extra)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("n", ["-1", "5"])
+def test_verify_refuses_n_outside_the_suites(capsys, n):
+    # the corpus stops at 3 vertices and the Catalan and Linial suites at 4
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--n", n])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert f"error: argument --n: invalid choice: {n}" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, lines",
+    [
+        # about 110 KB of reports, more than the pipe holds: a print fails
+        (["verify", "--suite", "all", "--n", "2", "--json"], 1),
+        # one short line, still buffered when the command returns
+        (["eval", "--family", "shi", "--n", "3", "--function", "integral", "--q", "5"], 0),
+    ],
+    ids=["during-output", "at-flush"],
+)
+def test_reader_closing_stdout_early_exits_quietly(tmp_path, argv, lines):
+    src = str(Path(gainchrom.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)  # keep stdout block-buffered, as on a pipe by default
+    with open(tmp_path / "stderr", "w+b") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "gainchrom.cli", *argv], stdout=subprocess.PIPE, stderr=err, env=env
+        )
+        for _ in range(lines):
+            assert json.loads(proc.stdout.readline())["passed"] is True
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 141
+        err.seek(0)
+        assert err.read() == b""
 
 
 def _function_matrix():
