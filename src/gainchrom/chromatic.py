@@ -22,11 +22,14 @@ vertex (Zaslavsky's unbalanced contraction), and a vertex left without
 links contributes q, or q - z when flagged.  Each state is memoised after
 switching a spanning forest of it to gain 0 with the potential union-find
 of gaingraph.py (``_GainDSU``), in the manner of Haggard, Pearce and Royle
-("Computing Tutte polynomials", 2010).  The memo is shared by every call
-with the same modulus and loop treatment, so a switching, doubling or minor
-of a graph seen before reuses its states; it is cleared wholesale after any
-call that leaves it above a fixed state count.  The zero-free variant drops
-the nonzero loops, which no balanced subset holds, so its states are fewer.
+("Computing Tutte polynomials", 2010).  One rule gives the children of a
+state (``_children``) and one loop over an explicit stack solves them
+(``_solve``), so no function recurses and a long chain of contractions
+needs no Python frames.  The memo is shared by every call with the same
+modulus and loop treatment, so a switching, doubling or minor of a graph
+seen before reuses its states; it is cleared wholesale after any call that
+leaves it above a fixed state count.  The zero-free variant drops the
+nonzero loops, which no balanced subset holds, so its states are fewer.
 """
 
 from __future__ import annotations
@@ -201,37 +204,70 @@ def count_multizero_colorings(g: ModularGainGraph, k: int, z: int) -> int:
 # A state is (n, links, flags): vertices 1..n, a set of links (tail, head,
 # gain) with tail < head, and flags[v] when v carries a nonzero loop.  A set
 # keeps one copy of equal parallel links, whose extra subsets cancel, and one
-# flag stands for any number of nonzero loops at a vertex.
+# flag stands for any number of nonzero loops at a vertex.  A memo key has a
+# link at n, or is the empty state.
 Terms = dict[tuple[int, int], int]
-
-
-def _reduce(gain: int, modulus: int | None) -> int:
-    return gain % modulus if modulus is not None else gain
+_EMPTY = (0, frozenset(), (False,))
 
 
 def _link(t: int, h: int, gain: int, modulus: int | None) -> tuple[int, int, int]:
     if t > h:
         t, h, gain = h, t, -gain
-    return (t, h, _reduce(gain, modulus))
+    return (t, h, gain % modulus if modulus is not None else gain)
 
 
-def _normalized(n: int, links: frozenset, modulus: int | None) -> frozenset:
-    """The links switched so that a spanning forest of them has gain 0.
+def _state(links: frozenset, flags: tuple[bool, ...], modulus: int | None) -> tuple:
+    """(flags of the isolated top vertices, memo key of the rest).
 
-    Switching changes no subset's balance, so equal results follow for
-    every switching of a state; links are added in sorted order, so equal
-    inputs give equal forests.
+    The key's links are switched so that a spanning forest of them has gain
+    0.  Switching changes no subset's balance, so every switching of a state
+    gives one key; links are added in sorted order, so equal inputs give
+    equal forests.  ``flags`` has one entry per vertex, after an unused one.
     """
+    n = max((h for _, h, _ in links), default=0)
+    if n == 0:
+        return flags[1:], _EMPTY
     dsu = _GainDSU(n, modulus)
     ordered = sorted(links)
     for t, h, gain in ordered:
         dsu.add_edge(t, h, gain)
     pot = [dsu.find(v)[1] for v in range(n + 1)]
-    return frozenset(_link(t, h, gain - pot[h] + pot[t], modulus) for t, h, gain in ordered)
+    links = frozenset(_link(t, h, gain - pot[h] + pot[t], modulus) for t, h, gain in ordered)
+    return flags[n + 1 :], (n, links, flags[: n + 1])
+
+
+def _children(key: tuple, modulus: int | None, loops: bool) -> list[tuple[int, tuple, tuple]]:
+    """(sign, peeled flags, child key) for T(G) = T(G - L_n) - sum T((G - e_1 ... e_(i-1)) / e_i).
+
+    L_n holds the links e_1 ... e_k at the highest vertex n.  Contracting
+    e_i = (t, n, g) switches n by -g and merges it into t, so a later link
+    (x, n, g') becomes (x, t, g' - g).  When x == t that is a loop whose
+    gain is nonzero, since the link set holds each gain once, so it only
+    flags t, and only when ``loops`` keeps the nonzero loops.
+    """
+    n, links, flags = key
+    at_top = sorted((e for e in links if e[1] == n), reverse=True)
+    rest = links.difference(at_top)
+    children = [(1, *_state(rest, flags, modulus))]
+    for i, (t, _, gain) in enumerate(at_top):
+        merged = set(rest)
+        flag_t = flags[t] or flags[n]
+        for x, _, other in at_top[i + 1 :]:
+            if x != t:
+                merged.add(_link(x, t, other - gain, modulus))
+            else:
+                flag_t = flag_t or loops
+        new_flags = flags[:n]
+        if flag_t != flags[t]:
+            new_flags = new_flags[:t] + (flag_t,) + new_flags[t + 1 :]
+        children.append((-1, *_state(frozenset(merged), new_flags, modulus)))
+    return children
 
 
 def _times_vertices(terms: Terms, flags: tuple[bool, ...]) -> Terms:
     """terms times q for each unflagged vertex and q - z for each flagged one."""
+    if not flags:
+        return terms
     unflagged = flags.count(False)
     out = {(dq + unflagged, dz): c for (dq, dz), c in terms.items()}
     for _ in range(len(flags) - unflagged):
@@ -252,73 +288,33 @@ def _add_into(acc: Terms, terms: Terms, sign: int) -> None:
             acc.pop(m, None)
 
 
-def _contract_top(
-    n: int, links: frozenset, flags: tuple[bool, ...], modulus: int | None, loops: bool,
-    memo: dict,
-) -> Terms:
-    """Minus the sum of T((G - e_1 ... e_(i-1)) / e_i) over the links e_i at n.
+def _solve(key: tuple, modulus: int | None, loops: bool, memo: dict) -> Terms:
+    """The signed (balanced, unbalanced) component counts of a memo key.
 
-    Contracting e_i = (t, n, g) switches n by -g and merges it into t, so a
-    later link (x, n, g') becomes (x, t, g' - g).  When x == t that is a loop
-    whose gain is nonzero, since the link set holds each gain once, so it
-    only flags t.
+    One explicit stack of (key, children) frames, so no depth of contraction
+    meets Python's recursion limit.  A frame computes its children once and
+    pushes those not in ``memo``, the deletion on top, so that a contraction
+    meeting a memoised deletion (as along a path) stops there.  Once all are
+    in ``memo`` it sums them, each times its peeled vertices.
     """
-    at_top = sorted((e for e in links if e[1] == n), reverse=True)
-    rest = links.difference(at_top)
-    acc: Terms = {}
-    for i, (t, _, gain) in enumerate(at_top):
-        merged = set(rest)
-        flag_t = flags[t] or flags[n]
-        for x, _, other in at_top[i + 1 :]:
-            if x != t:
-                merged.add(_link(x, t, other - gain, modulus))
-            else:
-                flag_t = flag_t or loops
-        new_flags = flags[:n]
-        if flag_t != flags[t]:
-            new_flags = new_flags[:t] + (flag_t,) + new_flags[t + 1 :]
-        _add_into(acc, _total(n - 1, frozenset(merged), new_flags, modulus, loops, memo), -1)
-    return acc
-
-
-def _total(
-    n: int, links: frozenset, flags: tuple[bool, ...], modulus: int | None, loops: bool,
-    memo: dict,
-) -> Terms:
-    """The signed (balanced, unbalanced) component counts of a state.
-
-    T(G) = T(G - L_n) - sum over i of T((G - e_1 ... e_(i-1)) / e_i) for
-    the links e_1 ... e_k at the highest vertex n, and an isolated vertex
-    contributes q, or q - z when flagged.  The deletions and isolated
-    vertices are walked in a loop, so only a contraction recurses and the
-    depth is at most n.  Each normalized state is memoised in ``memo``.
-    """
-    walked: list = []  # the states to compute, or (None, the flags peeled off)
-    while True:
-        top = max((h for _, h, _ in links), default=0)
-        if top < n:
-            walked.append((None, flags[top + 1 : n + 1]))
-            n, flags = top, flags[: top + 1]
-        if n == 0:
-            value: Terms = {(0, 0): 1}
-            break
-        links = _normalized(n, links, modulus)
-        key = (n, links, flags)
-        value = memo.get(key)
-        if value is not None:
-            break
-        walked.append(key)
-        links = frozenset(e for e in links if e[1] != n)
-    # Contract only once the deletions below are memoised, so that a
-    # contraction which meets one of them (as along a path) stops there.
-    for entry in reversed(walked):
-        if entry[0] is None:
-            value = _times_vertices(value, entry[1])
-        else:
-            acc = _contract_top(*entry, modulus, loops, memo)  # entry is (n, links, flags)
-            _add_into(acc, value, 1)
-            memo[entry] = value = acc
-    return value
+    memo.setdefault(_EMPTY, {(0, 0): 1})
+    stack: list = [(key, None)]
+    while stack:
+        top, children = stack[-1]
+        if children is None:
+            if top in memo:
+                stack.pop()
+                continue
+            children = _children(top, modulus, loops)
+            stack[-1] = (top, children)
+            stack.extend((child, None) for _, _, child in reversed(children) if child not in memo)
+            continue
+        acc: Terms = {}
+        for sign, peeled, child in children:
+            _add_into(acc, _times_vertices(memo[child], peeled), sign)
+        memo[top] = acc
+        stack.pop()
+    return memo[key]
 
 
 # One memo per (modulus, loops), shared by every call.  A call that leaves
@@ -346,15 +342,16 @@ def _expand_subsets(
     flags = [False] * (g.n + 1)
     for t, h, gain in g.edges:
         if t != h:
-            links.add(_link(t, h, gain, modulus))
-        elif _reduce(gain, modulus) == 0:
+            links.add((t, h, gain))
+        elif gain == 0:
             return Poly2()
         elif not balanced_only:
             flags[t] = True
     loops = not balanced_only
     memo = _memos.setdefault((modulus, loops), {})
     try:
-        return Poly2(_total(g.n, frozenset(links), tuple(flags), modulus, loops, memo))
+        peeled, key = _state(frozenset(links), tuple(flags), modulus)
+        return Poly2(_times_vertices(_solve(key, modulus, loops, memo), peeled))
     finally:
         if len(_memos) + sum(map(len, _memos.values())) > _MEMO_STATES:
             _memos.clear()

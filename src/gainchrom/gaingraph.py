@@ -3,9 +3,10 @@
 A gain graph is a multigraph whose oriented edges carry integer gains;
 reversing an edge negates its gain, so one stored triple represents both
 orientations.  Canonical storage keeps every link as (tail, head, gain)
-with tail < head and every loop with nonnegative gain, and the edge list
-sorted, so graphs built from any orientations of the same edges compare
-equal.
+with tail < head and every loop with the lesser gain of its two
+orientations (the nonnegative one, or the lesser residue mod m), and the
+edge list sorted, so graphs built from any orientations of the same edges
+compare equal.
 
 Vertices are labelled 1..n (n = 0 is legal: the empty graph is the
 multiplicative identity for every chromatic function here).  Graphs are
@@ -42,14 +43,16 @@ def strict_int(value: object) -> int:
     return value
 
 
-def _canonical_edge(n: int, tail: int, head: int, gain: int) -> Edge:
+def _canonical_edge(n: int, tail: int, head: int, gain: int, modulus: int | None = None) -> Edge:
+    """The stored form of an edge: tail < head, or a loop with the least gain
+    of its two orientations; gains reduced into [0, modulus) when given."""
     if not (1 <= tail <= n and 1 <= head <= n):
         raise ValueError(f"edge ({tail},{head},{gain}) out of range for n={n}")
     if tail == head:
-        return (tail, head, abs(gain))
+        return (tail, head, abs(gain) if modulus is None else min(gain % modulus, -gain % modulus))
     if tail > head:
-        return (head, tail, -gain)
-    return (tail, head, gain)
+        tail, head, gain = head, tail, -gain
+    return (tail, head, gain if modulus is None else gain % modulus)
 
 
 class _GainDSU:
@@ -399,18 +402,8 @@ class IntegralGainGraph:
         return ModularGainGraph(self.n, self.edges, modulus)
 
 
-def _canonical_mod_edge(n: int, tail: int, head: int, gain: int, modulus: int) -> Edge:
-    if not (1 <= tail <= n and 1 <= head <= n):
-        raise ValueError(f"edge ({tail},{head},{gain}) out of range for n={n}")
-    if tail == head:
-        return (tail, head, gain % modulus)
-    if tail > head:
-        return (head, tail, (-gain) % modulus)
-    return (tail, head, gain % modulus)
-
-
 class ModularGainGraph:
-    """Gain graph with gains in Z_m, stored in the range [0, m)."""
+    """Gain graph with gains in Z_m, stored in the range [0, m), loops at most m / 2."""
 
     __slots__ = ("n", "modulus", "edges")
 
@@ -422,7 +415,7 @@ class ModularGainGraph:
         self.n = n
         self.modulus = modulus
         self.edges: tuple[Edge, ...] = tuple(
-            sorted(_canonical_mod_edge(n, t, h, g, modulus) for t, h, g in edges)
+            sorted(_canonical_edge(n, t, h, g, modulus) for t, h, g in edges)
         )
 
     def __eq__(self, other: object) -> bool:

@@ -292,9 +292,21 @@ def test_modular_reduction():
     gm = g.reduce_mod(5)
     assert isinstance(gm, ModularGainGraph)
     assert gm.modulus == 5
-    assert gm.edges == ((1, 1, 3), (1, 2, 4), (2, 2, 2))
+    # a loop of gain 3 mod 5 read backwards has gain 2, the lesser residue
+    assert gm.edges == ((1, 1, 2), (1, 2, 4), (2, 2, 2))
     with pytest.raises(ValueError):
         g.reduce_mod(0)
+
+
+def test_modular_loop_orientations_compare_equal():
+    for m in (2, 3, 4, 5, 6):
+        for gain in range(-2 * m, 2 * m + 1):
+            forward = ModularGainGraph(1, [(1, 1, gain)], m)
+            backward = ModularGainGraph(1, [(1, 1, -gain)], m)
+            assert forward == backward and hash(forward) == hash(backward)
+            shifted = IntegralGainGraph(1, [(1, 1, gain + m)]).reduce_mod(m)
+            assert IntegralGainGraph(1, [(1, 1, gain)]).reduce_mod(m) == shifted
+            assert 0 <= forward.edges[0][2] <= m // 2
 
 
 def test_modular_count_equals_zero_free_of_reduction():

@@ -6,7 +6,9 @@ sibling test modules and share no code with the library paths.
 
 from __future__ import annotations
 
+import inspect
 import random
+import sys
 from itertools import combinations, product
 
 from gainchrom import chromatic
@@ -20,6 +22,7 @@ from gainchrom.chromatic import (
 )
 from gainchrom.combinatorics import closure
 from gainchrom.gaingraph import IntegralGainGraph, ModularGainGraph
+from gainchrom.poly import Q, Z
 
 from test_chromatic import (
     _naive_stats,
@@ -245,3 +248,18 @@ def test_shared_memo_is_bounded_between_calls(monkeypatch):
     small = IntegralGainGraph(3, [(1, 2, 1), (2, 3, 0), (1, 3, 2)])
     assert total_poly(small) == naive_total(small)
     assert 0 < len(chromatic._memos) + _memo_states() <= 20
+
+
+def test_deep_contraction_needs_no_recursion():
+    # every contraction of a long circle merges its top vertex into the one
+    # below; the solver must not spend a Python frame per contraction
+    n = 200
+    g = IntegralGainGraph(n, [(i, i + 1, 1) for i in range(1, n)] + [(1, n, 0)])
+    expected = (Q - 1) ** n + (-1) ** n * (Z - 1)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        result = total_poly(g, max_edges=n)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert result == expected
