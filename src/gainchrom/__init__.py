@@ -15,6 +15,7 @@ from .chromatic import (
     count_modular_colorings,
     count_multizero_colorings,
     enumerate_integral_colorings,
+    integral_count,
     ordinary_chromatic_poly,
     region_count,
     total_poly,

@@ -8,8 +8,9 @@ every colour its table maps to itself.  The integral count uses
 c -> c + gain, the modular count c -> c + gain mod q; the multi-zero count
 turns each block of m paired colours by the gain mod m and adds null
 colours that forbid themselves.  The last vertex is counted, not walked.
-These counts are the ground truth every closed form and identity is tested
-against.
+These counts are the ground truth every closed form, identity and engine
+is tested and verified against; the CLI answers from the engines below and
+falls back on the oracles only above its edge guard.
 
 The polynomial functions compute the alternating sum over edge subsets
 
@@ -30,12 +31,22 @@ modulus and loop treatment, so a switching, doubling or minor of a graph
 seen before reuses its states; it is cleared wholesale after any call that
 leaves it above a fixed state count.  The zero-free variant drops the
 nonzero loops, which no balanced subset holds, so its states are fewer.
+
+The integral count runs the same solver with another rule for the
+children (``_integral_children``).  Contracting a link fixes one colour as
+the other's plus the gain, so each vertex carries the width of the offset
+interval its merged vertices span and has max(0, q - width) colours; the
+count is a sum of products of such factors, exact at every q.  It is not
+switching invariant, so these states are memoised unswitched.  The CLI
+reads the modular count at q off the zero-free polynomial of the gains
+mod q, evaluated at q: a subset counts there iff it is balanced mod q.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-from functools import lru_cache
+from collections.abc import Callable, Iterator
+from functools import lru_cache, partial
+from math import prod
 
 from .gaingraph import IntegralGainGraph, ModularGainGraph, _GainDSU
 from .poly import Poly2
@@ -201,12 +212,16 @@ def count_multizero_colorings(g: ModularGainGraph, k: int, z: int) -> int:
 
 # -- deletion-contraction ----------------------------------------------------------
 
-# A state is (n, links, flags): vertices 1..n, a set of links (tail, head,
-# gain) with tail < head, and flags[v] when v carries a nonzero loop.  A set
+# A state is (n, links, labels): vertices 1..n, a set of links (tail, head,
+# gain) with tail < head, and one label per vertex after an unused one.  For
+# the subset polynomials the label flags[v] is set when v carries a nonzero
+# loop; for the integral count it is the width of v's offset interval.  A set
 # keeps one copy of equal parallel links, whose extra subsets cancel, and one
 # flag stands for any number of nonzero loops at a vertex.  A memo key has a
-# link at n, or is the empty state.
-Terms = dict[tuple[int, int], int]
+# link at n, or is the empty state.  Terms map a monomial to its coefficient:
+# (balanced, unbalanced) component counts, or the sorted widths of a product
+# of max(0, q - w) factors.
+Terms = dict[tuple[int, ...], int]
 _EMPTY = (0, frozenset(), (False,))
 
 
@@ -216,24 +231,26 @@ def _link(t: int, h: int, gain: int, modulus: int | None) -> tuple[int, int, int
     return (t, h, gain % modulus if modulus is not None else gain)
 
 
-def _state(links: frozenset, flags: tuple[bool, ...], modulus: int | None) -> tuple:
-    """(flags of the isolated top vertices, memo key of the rest).
+def _state(links: frozenset, labels: tuple, modulus: int | None, switch: bool = True) -> tuple:
+    """(labels of the isolated top vertices, memo key of the rest).
 
-    The key's links are switched so that a spanning forest of them has gain
-    0.  Switching changes no subset's balance, so every switching of a state
-    gives one key; links are added in sorted order, so equal inputs give
-    equal forests.  ``flags`` has one entry per vertex, after an unused one.
+    With ``switch`` the key's links are switched so that a spanning forest
+    of them has gain 0.  Switching changes no subset's balance, so every
+    switching of a state gives one key; links are added in sorted order, so
+    equal inputs give equal forests.  The integral count is not switching
+    invariant, so its states are kept as they are.
     """
     n = max((h for _, h, _ in links), default=0)
     if n == 0:
-        return flags[1:], _EMPTY
-    dsu = _GainDSU(n, modulus)
-    ordered = sorted(links)
-    for t, h, gain in ordered:
-        dsu.add_edge(t, h, gain)
-    pot = [dsu.find(v)[1] for v in range(n + 1)]
-    links = frozenset(_link(t, h, gain - pot[h] + pot[t], modulus) for t, h, gain in ordered)
-    return flags[n + 1 :], (n, links, flags[: n + 1])
+        return labels[1:], _EMPTY
+    if switch:
+        dsu = _GainDSU(n, modulus)
+        ordered = sorted(links)
+        for t, h, gain in ordered:
+            dsu.add_edge(t, h, gain)
+        pot = [dsu.find(v)[1] for v in range(n + 1)]
+        links = frozenset(_link(t, h, gain - pot[h] + pot[t], modulus) for t, h, gain in ordered)
+    return labels[n + 1 :], (n, links, labels[: n + 1])
 
 
 def _children(key: tuple, modulus: int | None, loops: bool) -> list[tuple[int, tuple, tuple]]:
@@ -264,6 +281,30 @@ def _children(key: tuple, modulus: int | None, loops: bool) -> list[tuple[int, t
     return children
 
 
+def _integral_children(key: tuple) -> list[tuple[int, tuple, tuple]]:
+    """The children of ``_children`` for the integral count, by widths.
+
+    A vertex of width w stands for vertices at offsets 0..w from its own
+    colour, so it has max(0, q - w) colours.  Contracting e_i = (t, n, g)
+    forces x_n = x_t + g: t's offsets [0, w_t] and n's [g, g + w_n] join,
+    and t is re-based to the lower end lo of their hull, which moves every
+    link at t by lo.  A later link (x, n, g') becomes (x, t, g' - g + lo),
+    or, when x == t, a nonzero loop that no colouring violates.
+    """
+    n, links, widths = key
+    at_top = sorted((e for e in links if e[1] == n), reverse=True)
+    rest = links.difference(at_top)
+    children = [(1, *_state(rest, widths, None, switch=False))]
+    for i, (t, _, gain) in enumerate(at_top):
+        lo = min(0, gain)
+        merged = {(a, b, g + lo if b == t else g - lo if a == t else g) for a, b, g in rest}
+        merged.update(_link(x, t, other - gain + lo, None) for x, _, other in at_top[i + 1 :] if x != t)
+        width = max(widths[t], gain + widths[n]) - lo
+        new_widths = widths[:t] + (width,) + widths[t + 1 : n]
+        children.append((-1, *_state(frozenset(merged), new_widths, None, switch=False)))
+    return children
+
+
 def _times_vertices(terms: Terms, flags: tuple[bool, ...]) -> Terms:
     """terms times q for each unflagged vertex and q - z for each flagged one."""
     if not flags:
@@ -279,6 +320,13 @@ def _times_vertices(terms: Terms, flags: tuple[bool, ...]) -> Terms:
     return out
 
 
+def _times_widths(terms: Terms, widths: tuple[int, ...]) -> Terms:
+    """terms times max(0, q - w) for each width w."""
+    if not widths:
+        return terms
+    return {tuple(sorted(ws + widths)): c for ws, c in terms.items()}
+
+
 def _add_into(acc: Terms, terms: Terms, sign: int) -> None:
     for m, c in terms.items():
         value = acc.get(m, 0) + sign * c
@@ -288,16 +336,19 @@ def _add_into(acc: Terms, terms: Terms, sign: int) -> None:
             acc.pop(m, None)
 
 
-def _solve(key: tuple, modulus: int | None, loops: bool, memo: dict) -> Terms:
-    """The signed (balanced, unbalanced) component counts of a memo key.
+Children = Callable[[tuple], list[tuple[int, tuple, tuple]]]
+Times = Callable[[Terms, tuple], Terms]
+
+
+def _solve(key: tuple, children_of: Children, times: Times, memo: dict) -> Terms:
+    """The terms of a memo key, whose children ``children_of`` gives.
 
     One explicit stack of (key, children) frames, so no depth of contraction
     meets Python's recursion limit.  A frame computes its children once and
     pushes those not in ``memo``, the deletion on top, so that a contraction
     meeting a memoised deletion (as along a path) stops there.  Once all are
-    in ``memo`` it sums them, each times its peeled vertices.
+    in ``memo`` it sums them, each ``times`` its peeled vertices.
     """
-    memo.setdefault(_EMPTY, {(0, 0): 1})
     stack: list = [(key, None)]
     while stack:
         top, children = stack[-1]
@@ -305,24 +356,55 @@ def _solve(key: tuple, modulus: int | None, loops: bool, memo: dict) -> Terms:
             if top in memo:
                 stack.pop()
                 continue
-            children = _children(top, modulus, loops)
+            children = children_of(top)
             stack[-1] = (top, children)
             stack.extend((child, None) for _, _, child in reversed(children) if child not in memo)
             continue
         acc: Terms = {}
         for sign, peeled, child in children:
-            _add_into(acc, _times_vertices(memo[child], peeled), sign)
+            _add_into(acc, times(memo[child], peeled), sign)
         memo[top] = acc
         stack.pop()
     return memo[key]
 
 
-# One memo per (modulus, loops), shared by every call.  A call that leaves
-# more than _MEMO_STATES states in them (each memo counting as one state
-# itself) clears them all, so the memos hold at most that many between calls.
-# Values are shared between calls and never mutated.
+# One memo per (modulus, loops) and one for the integral count, shared by
+# every call.  A call that leaves more than _MEMO_STATES states in them (each
+# memo counting as one state itself) clears them all, so the memos hold at
+# most that many between calls.  Values are shared between calls and never
+# mutated.
 _MEMO_STATES = 4096
-_memos: dict[tuple[int | None, bool], dict] = {}
+_memos: dict[tuple, dict] = {}
+
+
+def _memoised(name: tuple, empty: Terms, peeled: tuple, key: tuple, children_of: Children, times: Times) -> Terms:
+    """``times(_solve(key), peeled)`` in the memo ``name``, whose empty state has the terms ``empty``."""
+    memo = _memos.setdefault(name, {_EMPTY: empty})
+    try:
+        return times(_solve(key, children_of, times, memo), peeled)
+    finally:
+        if len(_memos) + sum(map(len, _memos.values())) > _MEMO_STATES:
+            _memos.clear()
+
+
+def _read(
+    g: IntegralGainGraph | ModularGainGraph, max_edges: int, loops: bool
+) -> tuple[frozenset, tuple[bool, ...]] | None:
+    """The links of g and, with ``loops``, the flags of its nonzero loops,
+    which are otherwise dropped; None when a gain-0 loop makes every sum
+    vanish.  The one edge guard of every deletion-contraction."""
+    if len(g.edges) > max_edges:
+        raise TooManyEdges(f"{len(g.edges)} edges exceed the expansion bound {max_edges}")
+    links = set()
+    flags = [False] * (g.n + 1)
+    for t, h, gain in g.edges:
+        if t != h:
+            links.add((t, h, gain))
+        elif gain == 0:
+            return None
+        elif loops:
+            flags[t] = True
+    return frozenset(links), tuple(flags)
 
 
 def _expand_subsets(
@@ -330,31 +412,18 @@ def _expand_subsets(
 ) -> Poly2:
     """Signed counts of (balanced components, unbalanced components) over subsets.
 
-    Computed by memoised deletion-contraction, never by walking the subsets;
-    the one edge guard of every polynomial function.  A gain-0 loop makes
-    the sum vanish; with ``balanced_only`` the nonzero loops are dropped,
-    since no balanced subset holds one.
+    Computed by memoised deletion-contraction, never by walking the subsets.
+    With ``balanced_only`` the nonzero loops are dropped, since no balanced
+    subset holds one.
     """
-    if len(g.edges) > max_edges:
-        raise TooManyEdges(f"{len(g.edges)} edges exceed the expansion bound {max_edges}")
-    modulus = getattr(g, "modulus", None)
-    links = set()
-    flags = [False] * (g.n + 1)
-    for t, h, gain in g.edges:
-        if t != h:
-            links.add((t, h, gain))
-        elif gain == 0:
-            return Poly2()
-        elif not balanced_only:
-            flags[t] = True
     loops = not balanced_only
-    memo = _memos.setdefault((modulus, loops), {})
-    try:
-        peeled, key = _state(frozenset(links), tuple(flags), modulus)
-        return Poly2(_times_vertices(_solve(key, modulus, loops, memo), peeled))
-    finally:
-        if len(_memos) + sum(map(len, _memos.values())) > _MEMO_STATES:
-            _memos.clear()
+    read = _read(g, max_edges, loops)
+    if read is None:
+        return Poly2()
+    modulus = getattr(g, "modulus", None)
+    peeled, key = _state(*read, modulus)
+    children_of = partial(_children, modulus=modulus, loops=loops)
+    return Poly2(_memoised((modulus, loops), {(0, 0): 1}, peeled, key, children_of, _times_vertices))
 
 
 def total_poly(g: IntegralGainGraph | ModularGainGraph, max_edges: int = 26) -> Poly2:
@@ -369,6 +438,29 @@ def total_poly(g: IntegralGainGraph | ModularGainGraph, max_edges: int = 26) -> 
 def zero_free_poly(g: IntegralGainGraph | ModularGainGraph, max_edges: int = 26) -> Poly2:
     """The z = 0 slice of total_poly: the sum over balanced subsets only."""
     return _expand_subsets(g, max_edges, balanced_only=True)
+
+
+def _integral_terms(g: IntegralGainGraph, max_edges: int) -> Terms:
+    """The integral count as sorted widths ws -> c, meaning the sum of
+    c * prod(max(0, q - w) for w in ws), by deletion-contraction on widths.
+
+    A nonzero loop never binds, so it is dropped; a gain-0 loop leaves no
+    colouring.  The sum is exact at every q >= 0, and a polynomial in q from
+    the largest width on.
+    """
+    read = _read(g, max_edges, loops=False)
+    if read is None:
+        return {}
+    peeled, key = _state(read[0], (0,) * (g.n + 1), None, switch=False)
+    return _memoised(("integral",), {(): 1}, peeled, key, _integral_children, _times_widths)
+
+
+def integral_count(g: IntegralGainGraph, q: int, max_edges: int = 26) -> int:
+    """count_integral_colorings(g, q) by memoised deletion-contraction, at
+    any q; guarded by max_edges like the polynomial functions."""
+    if q < 0:
+        raise ValueError("q must be nonnegative")
+    return sum(c * prod(max(0, q - w) for w in ws) for ws, c in _integral_terms(g, max_edges).items())
 
 
 def chromatic_poly(g: IntegralGainGraph | ModularGainGraph, max_edges: int = 26) -> Poly2:

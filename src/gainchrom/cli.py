@@ -15,12 +15,14 @@ import json
 import os
 import sys
 from collections.abc import Callable
+from functools import partial
 
 from .chromatic import (
     TooManyEdges,
     chromatic_poly,
     count_integral_colorings,
     count_modular_colorings,
+    integral_count,
     region_count,
     total_poly,
     zero_free_poly,
@@ -149,7 +151,7 @@ def _polynomial(
     A family's integral, modular and zero-free functions are its closed
     forms; the zero-free, chromatic and total functions of any other graph
     come from deletion-contraction.  (None, None) leaves a file graph's
-    integral and modular counts to the colouring oracles.
+    integral and modular counts to ``_file_count``.
     """
     if forms is not None and function not in ("chromatic", "total"):
         built = forms()
@@ -162,6 +164,22 @@ def _polynomial(
         return None, None
     engine = {"zero-free": zero_free_poly, "chromatic": chromatic_poly, "total": total_poly}[function]
     return engine(graph, max_edges), None
+
+
+def _file_count(function: str, graph: IntegralGainGraph, max_edges: int) -> Callable[[int], int]:
+    """The integral or modular count of a file graph, as a function of q.
+
+    Within the edge guard, deletion-contraction answers: ``integral_count``
+    for the integral count, and for the modular count the zero-free
+    polynomial of the gains mod q at q, since a subset is counted iff it is
+    balanced mod q.  Above the guard the colouring oracles answer, however
+    long they take.
+    """
+    if len(graph.edges) > max_edges:
+        return partial(count_integral_colorings if function == "integral" else count_modular_colorings, graph)
+    if function == "integral":
+        return lambda q: integral_count(graph, q, max_edges)
+    return lambda q: zero_free_poly(graph.reduce_mod(q), max_edges).evaluate(q, 0)
 
 
 def _print_rows(rows: list[dict], args, function: str, source: str, poly: Poly2 | None) -> None:
@@ -197,11 +215,11 @@ def _cmd_eval(args) -> int:
     poly, min_q = _polynomial(function, graph, forms, args.max_edges)
     if poly is None and function == "modular" and min(qs) < 1:
         raise _usage_error("modular counting needs q >= 1")
-    oracle = count_integral_colorings if function == "integral" else count_modular_colorings
+    count = _file_count(function, graph, args.max_edges) if poly is None else None
     z = {"zero-free": 0, "chromatic": 1, "total": args.z}.get(function)
     rows: list[dict] = []
     for q in qs:
-        value = oracle(graph, q) if poly is None else poly.evaluate(q, z or 0)
+        value = count(q) if poly is None else poly.evaluate(q, z or 0)
         row = {"q": q, "z": z, "value": value}
         if min_q is not None and q < min_q:
             row["below_valid_range"] = True

@@ -10,17 +10,19 @@ import pytest
 
 from gainchrom.chromatic import (
     TooManyEdges,
+    _integral_terms,
     chromatic_poly,
     count_integral_colorings,
     count_modular_colorings,
     count_multizero_colorings,
     enumerate_integral_colorings,
+    integral_count,
     ordinary_chromatic_poly,
     region_count,
     total_poly,
     zero_free_poly,
 )
-from gainchrom.families import catalan_graph, linial_graph, shi_graph
+from gainchrom.families import FAMILY_BUILDERS, FAMILY_CLOSED_FORMS, catalan_graph, linial_graph, shi_graph
 from gainchrom.gaingraph import IntegralGainGraph, ModularGainGraph
 from gainchrom.identities import fixture_corpus
 from gainchrom.poly import Poly2, Q, Z
@@ -121,6 +123,62 @@ def test_enumeration_matches_count_and_is_proper():
             assert kappa[h] != kappa[t] + gain
 
 
+def random_gain_graph(rng: random.Random, n: int, m: int) -> IntegralGainGraph:
+    """m random links with gains in -3..3, plus a parallel link of another
+    gain and a nonzero loop, so every graph has both."""
+    edges = [(rng.randint(1, n), rng.randint(1, n), rng.randint(-3, 3)) for _ in range(m)]
+    t, h = rng.sample(range(1, n + 1), 2)
+    gain = rng.randint(-3, 3)
+    edges += [(t, h, gain), (h, t, gain + rng.choice((-1, 1))), (t, t, rng.choice((-2, -1, 1, 2)))]
+    return IntegralGainGraph(n, edges)
+
+
+def _random_graphs(seed: int, count: int, max_n: int) -> list[IntegralGainGraph]:
+    rng = random.Random(seed)
+    return [random_gain_graph(rng, rng.randint(2, max_n), rng.randint(0, 6)) for _ in range(count)]
+
+
+def test_integral_engine_against_naive():
+    for g in _random_graphs(41, 40, 4):
+        for q in range(9):
+            assert integral_count(g, q) == naive_integral(g, q), (g.edges, q)
+    # far above every width, where the sum is the polynomial
+    for g in _random_graphs(43, 3, 3):
+        assert integral_count(g, 50) == naive_integral(g, 50), g.edges
+
+
+def test_integral_engine_edge_cases():
+    assert integral_count(IntegralGainGraph(0), 0) == 1
+    assert integral_count(IntegralGainGraph(3), 0) == 0
+    assert integral_count(IntegralGainGraph(2, [(1, 1, 0), (1, 2, 1)]), 5) == 0
+    assert integral_count(IntegralGainGraph(1, [(1, 1, 2)]), 5) == 5
+    with pytest.raises(ValueError, match="q must be nonnegative"):
+        integral_count(shi_graph(2), -1)
+    with pytest.raises(TooManyEdges):
+        integral_count(catalan_graph(5), 3)
+
+
+def test_integral_engine_without_widths_is_zero_free():
+    # every factor max(0, q - w) read as q: the widths are all the engine adds
+    for g in _random_graphs(47, 40, 5):
+        dropped: dict = {}
+        for widths, c in _integral_terms(g, 26).items():
+            dropped[len(widths), 0] = dropped.get((len(widths), 0), 0) + c
+        assert Poly2(dropped) == zero_free_poly(g), g.edges
+
+
+@pytest.mark.parametrize("family", ["shi", "catalan", "linial", "hollow-catalan"])
+def test_integral_engine_threshold_is_the_closed_form_threshold(family):
+    for n in range(1, 7):
+        g = FAMILY_BUILDERS[family](n)
+        forms = FAMILY_CLOSED_FORMS[family](n)
+        terms = _integral_terms(g, len(g.edges))
+        threshold = max(max(widths, default=0) for widths in terms)
+        assert threshold == forms.integral_min_q, (family, n)
+        for q in range(threshold, threshold + 5):
+            assert integral_count(g, q, len(g.edges)) == forms.integral.evaluate(q), (family, n, q)
+
+
 # -- modular -------------------------------------------------------------------
 
 
@@ -137,6 +195,13 @@ def test_modular_against_naive():
     for g in list(fixture_corpus())[::5]:
         for q in range(1, 5):
             assert count_modular_colorings(g, q) == naive_modular(g, q)
+
+
+def test_modular_count_is_the_zero_free_polynomial_mod_q():
+    # a colouring mod q is counted by the subsets balanced mod q
+    for g in _random_graphs(53, 40, 4):
+        for q in range(1, 9):
+            assert zero_free_poly(g.reduce_mod(q)).evaluate(q, 0) == naive_modular(g, q), (g.edges, q)
 
 
 # -- total / zero-free -----------------------------------------------------------

@@ -7,13 +7,17 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import gainchrom
+from gainchrom import cli
+from gainchrom.chromatic import count_integral_colorings
 from gainchrom.cli import main, parse_partition
 from gainchrom.families import linial_closed_forms
+from gainchrom.gaingraph import IntegralGainGraph
 from gainchrom.poly import parse_poly, poly_from_term_list
 
 
@@ -71,6 +75,65 @@ def test_graph_file_sources(tmp_path, capsys):
     assert code == 0
     # canonicalized to the shi graph on two vertices
     assert out == "3\t4\n"
+
+
+# A 5-vertex graph on which the colouring oracle walks about q^4
+# colourings, so it never finishes at q = 10^9.
+G5 = {"n": 5, "edges": [[1, 2, 1], [2, 3, -1], [3, 4, 2], [4, 5, 0], [1, 5, 3], [2, 4, 1]]}
+
+
+def _interpolate(points: list[tuple[int, int]], x: int) -> int:
+    """The polynomial through the points (Lagrange), at x."""
+    total = Fraction(0)
+    for i, (xi, yi) in enumerate(points):
+        term = Fraction(yi)
+        for j, (xj, _) in enumerate(points):
+            if j != i:
+                term *= Fraction(x - xj, xi - xj)
+        total += term
+    assert total.denominator == 1
+    return int(total)
+
+
+def test_eval_file_graph_integral_at_huge_q_finishes(tmp_path):
+    path = tmp_path / "g5.json"
+    path.write_text(json.dumps(G5))
+    src = str(Path(gainchrom.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    q = 10**9
+    proc = subprocess.run(
+        [sys.executable, "-m", "gainchrom.cli", "eval", "--graph", str(path), "--function", "integral", "--q", str(q)],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    # g5's widths stay below 4, so from q = 4 on its count is a polynomial
+    # of degree 5: six oracle counts fix it
+    g = IntegralGainGraph.from_dict(G5)
+    expected = _interpolate([(x, count_integral_colorings(g, x)) for x in range(4, 10)], q)
+    assert proc.stdout == f"{q}\t{expected}\n"
+
+
+@pytest.mark.parametrize("function", ["integral", "modular"])
+def test_file_counts_agree_on_both_sides_of_the_edge_guard(tmp_path, capsys, monkeypatch, function):
+    # with --max-edges 6, g5 (6 edges) is counted by deletion-contraction and
+    # g5 plus one link (7 edges) by the colouring oracle; each is then run
+    # through the other route as well
+    oracle_name = f"count_{function}_colorings"
+    oracle = getattr(cli, oracle_name)
+    oracle_calls = []
+    monkeypatch.setattr(cli, oracle_name, lambda g, q: oracle_calls.append(q) or oracle(g, q))
+    qs = ["--q", "1", "--q", "3", "--q", "6"]
+    for edges, guard, other in ((G5["edges"], "6", "5"), (G5["edges"] + [[2, 5, -2]], "6", "7")):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"n": 5, "edges": edges}))
+        outputs = []
+        for max_edges in (guard, other):
+            oracle_calls.clear()
+            code, out = run_cli(capsys, "eval", "--graph", str(path), "--function", function, *qs, "--max-edges", max_edges)
+            assert code == 0
+            outputs.append((out, bool(oracle_calls)))
+        assert outputs[0][0] == outputs[1][0]
+        assert [by_oracle for _, by_oracle in outputs] == [len(edges) > 6, len(edges) <= 6]
 
 
 def test_eval_modular_and_total(capsys):
@@ -367,7 +430,7 @@ def test_usage_errors(tmp_path, capsys):
     path = tmp_path / "g.json"
     path.write_text(json.dumps({"n": 2, "edges": [[1, 2, 1]]}))
     code, _ = run_cli(capsys, "eval", "--graph", str(path), "--function", "modular", "--q", "0")
-    assert code == 2  # the modular counting oracle needs q >= 1
+    assert code == 2  # modular counting needs q >= 1
 
 
 def test_family_closed_form_below_validity_still_prints(capsys):
