@@ -16,37 +16,37 @@ The polynomial functions compute the alternating sum over edge subsets
 
     sum over S of (-1)^|S| q^(balanced components of S) z^(other components of S)
 
-without walking the subsets.  They delete and contract the links at the
-highest vertex, T(G) = T(G - e) - T(G / e), where G / e first switches e
-to gain 0.  A contracted circle of nonzero gain becomes a flag on its
-vertex (Zaslavsky's unbalanced contraction), and a vertex left without
-links contributes q, or q - z when flagged.  Each state is memoised after
-switching a spanning forest of it to gain 0 with the potential union-find
-of gaingraph.py (``_GainDSU``), in the manner of Haggard, Pearce and Royle
-("Computing Tutte polynomials", 2010).  One rule gives the children of a
-state (``_children``) and one loop over an explicit stack solves them
+without walking the subsets, and the integral count is computed the same
+way.  Both delete and contract the links at the highest vertex,
+T(G) = T(G - e) - T(G / e), where G / e fixes the head's colour as the
+tail's plus the gain.  One rule gives the children of a state
+(``_children``) and one loop over an explicit stack solves them
 (``_solve``), so no function recurses and a long chain of contractions
-needs no Python frames.  The memo is shared by every call with the same
-modulus and loop treatment, so a switching, doubling or minor of a graph
-seen before reuses its states; it is cleared wholesale after any call that
-leaves it above a fixed state count.  The zero-free variant drops the
-nonzero loops, which no balanced subset holds, so its states are fewer.
-
-The integral count runs the same solver with another rule for the
-children (``_integral_children``).  Contracting a link fixes one colour as
-the other's plus the gain, so each vertex carries the width of the offset
-interval its merged vertices span and has max(0, q - width) colours; the
-count is a sum of products of such factors, exact at every q.  It is not
-switching invariant, so these states are memoised unswitched.  The CLI
-reads the modular count at q off the zero-free polynomial of the gains
+needs no Python frames.  The rule gives each vertex a label and merges the
+two labels of a contracted link.  For the polynomials the label is a flag:
+a contracted circle of nonzero gain flags its vertex (Zaslavsky's
+unbalanced contraction), and a vertex left without links contributes q, or
+q - z when flagged; the zero-free variant drops the nonzero loops, which no
+balanced subset holds.  Their states are memoised after switching a
+spanning forest of each to gain 0 with the potential union-find of
+gaingraph.py (``_GainDSU``), in the manner of Haggard, Pearce and Royle
+("Computing Tutte polynomials", 2010).  For the integral count the label is
+the width of the offset interval its merged vertices span, so a vertex has
+max(0, q - width) colours and the count, a sum of products of such factors,
+is exact at every q; it is not switching invariant, so its states are
+memoised unswitched.  The memos are shared by every call, so a switching,
+doubling or minor of a graph seen before reuses its states, and cleared
+wholesale after any call that leaves them above a fixed state count.  The
+CLI reads the modular count at q off the zero-free polynomial of the gains
 mod q, evaluated at q: a subset counts there iff it is balanced mod q.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections import namedtuple
+from collections.abc import Iterator
 from functools import lru_cache, partial
-from math import prod
+from math import comb, prod
 
 from .gaingraph import IntegralGainGraph, ModularGainGraph, _GainDSU
 from .poly import Poly2
@@ -214,13 +214,13 @@ def count_multizero_colorings(g: ModularGainGraph, k: int, z: int) -> int:
 
 # A state is (n, links, labels): vertices 1..n, a set of links (tail, head,
 # gain) with tail < head, and one label per vertex after an unused one.  For
-# the subset polynomials the label flags[v] is set when v carries a nonzero
-# loop; for the integral count it is the width of v's offset interval.  A set
-# keeps one copy of equal parallel links, whose extra subsets cancel, and one
-# flag stands for any number of nonzero loops at a vertex.  A memo key has a
-# link at n, or is the empty state.  Terms map a monomial to its coefficient:
-# (balanced, unbalanced) component counts, or the sorted widths of a product
-# of max(0, q - w) factors.
+# the subset polynomials the label is a flag, set when the vertex carries a
+# nonzero loop; for the integral count it is the width of the vertex's offset
+# interval.  A set keeps one copy of equal parallel links, whose extra subsets
+# cancel, and one flag stands for any number of nonzero loops at a vertex.  A
+# memo key has a link at n, or is the empty state.  Terms map a monomial to
+# its coefficient: (a, b) for q^a (q - z)^b, or the sorted widths of a product
+# of max(0, q - w) factors; the empty tuple is the empty product of either.
 Terms = dict[tuple[int, ...], int]
 _EMPTY = (0, frozenset(), (False,))
 
@@ -231,19 +231,55 @@ def _link(t: int, h: int, gain: int, modulus: int | None) -> tuple[int, int, int
     return (t, h, gain % modulus if modulus is not None else gain)
 
 
-def _state(links: frozenset, labels: tuple, modulus: int | None, switch: bool = True) -> tuple:
+def _flag_merge(loops: bool, f_t: bool, f_n: bool, gain: int, looped: bool) -> tuple[bool, int]:
+    """t stays put and takes n's flag.  A later link (t, n, g') becomes a loop
+    at t of gain g' - g, nonzero since the link set holds each gain once: a
+    contracted circle, which flags t when ``loops`` keeps nonzero loops."""
+    return f_t or f_n or (looped and loops), 0
+
+
+def _width_merge(w_t: int, w_n: int, gain: int, looped: bool) -> tuple[int, int]:
+    """t's offsets [0, w_t] and n's [g, g + w_n] join, and t is re-based to
+    the lower end of their hull.  A loop at t is nonzero and never binds."""
+    lo = min(0, gain)
+    return max(w_t, gain + w_n) - lo, lo
+
+
+def _peel_flags(terms: Terms, flags: tuple[bool, ...]) -> Terms:
+    """terms times q for each unflagged vertex and q - z for each flagged one."""
+    flagged = sum(flags)
+    unflagged = len(flags) - flagged
+    out: Terms = {}
+    for m, c in terms.items():
+        a, b = m or (0, 0)  # () is the empty state's seed
+        out[a + unflagged, b + flagged] = c
+    return out
+
+
+def _peel_widths(terms: Terms, widths: tuple[int, ...]) -> Terms:
+    """terms times max(0, q - w) for each width w."""
+    return {tuple(sorted(ws + widths)): c for ws, c in terms.items()}
+
+
+# One engine: the modulus of its gains, whether _state switches, how a
+# contraction merges two labels and how terms take on peeled labels.
+_Rule = namedtuple("_Rule", "modulus switch merge peel")
+_WIDTHS = _Rule(None, False, _width_merge, _peel_widths)
+
+
+def _state(links: frozenset, labels: tuple, rule: _Rule) -> tuple:
     """(labels of the isolated top vertices, memo key of the rest).
 
-    With ``switch`` the key's links are switched so that a spanning forest
-    of them has gain 0.  Switching changes no subset's balance, so every
-    switching of a state gives one key; links are added in sorted order, so
-    equal inputs give equal forests.  The integral count is not switching
-    invariant, so its states are kept as they are.
+    With ``rule.switch`` the key's links are switched so that a spanning
+    forest of them has gain 0.  Switching changes no subset's balance, so
+    every switching of a state gives one key; links are added in sorted
+    order, so equal inputs give equal forests.
     """
     n = max((h for _, h, _ in links), default=0)
     if n == 0:
         return labels[1:], _EMPTY
-    if switch:
+    if rule.switch:
+        modulus = rule.modulus
         dsu = _GainDSU(n, modulus)
         ordered = sorted(links)
         for t, h, gain in ordered:
@@ -253,101 +289,38 @@ def _state(links: frozenset, labels: tuple, modulus: int | None, switch: bool = 
     return labels[n + 1 :], (n, links, labels[: n + 1])
 
 
-def _children(key: tuple, modulus: int | None, loops: bool) -> list[tuple[int, tuple, tuple]]:
-    """(sign, peeled flags, child key) for T(G) = T(G - L_n) - sum T((G - e_1 ... e_(i-1)) / e_i).
+def _children(key: tuple, rule: _Rule) -> list[tuple[int, tuple, tuple]]:
+    """(sign, peeled labels, child key) for T(G) = T(G - L_n) - sum T((G - e_1 ... e_(i-1)) / e_i).
 
     L_n holds the links e_1 ... e_k at the highest vertex n.  Contracting
-    e_i = (t, n, g) switches n by -g and merges it into t, so a later link
-    (x, n, g') becomes (x, t, g' - g).  When x == t that is a loop whose
-    gain is nonzero, since the link set holds each gain once, so it only
-    flags t, and only when ``loops`` keeps the nonzero loops.
+    e_i = (t, n, g) fixes n's colour as t's plus g and merges n into t:
+    ``rule.merge`` gives t's label and the offset lo it is re-based by,
+    which moves every link at t by lo, and a later link (x, n, g') becomes
+    (x, t, g' - g + lo), or a loop at t when x == t.
     """
-    n, links, flags = key
+    n, links, labels = key
+    modulus, _, merge, _ = rule
     at_top = sorted((e for e in links if e[1] == n), reverse=True)
     rest = links.difference(at_top)
-    children = [(1, *_state(rest, flags, modulus))]
+    children = [(1, *_state(rest, labels, rule))]
     for i, (t, _, gain) in enumerate(at_top):
-        merged = set(rest)
-        flag_t = flags[t] or flags[n]
-        for x, _, other in at_top[i + 1 :]:
-            if x != t:
-                merged.add(_link(x, t, other - gain, modulus))
-            else:
-                flag_t = flag_t or loops
-        new_flags = flags[:n]
-        if flag_t != flags[t]:
-            new_flags = new_flags[:t] + (flag_t,) + new_flags[t + 1 :]
-        children.append((-1, *_state(frozenset(merged), new_flags, modulus)))
+        later = at_top[i + 1 :]  # sorted, so a later link at t comes first
+        label, lo = merge(labels[t], labels[n], gain, bool(later) and later[0][0] == t)
+        merged = {(a, b, g + lo if b == t else g - lo if a == t else g) for a, b, g in rest} if lo else set(rest)
+        merged.update(_link(x, t, other - gain + lo, modulus) for x, _, other in later if x != t)
+        new_labels = labels[:t] + (label,) + labels[t + 1 : n]
+        children.append((-1, *_state(frozenset(merged), new_labels, rule)))
     return children
 
 
-def _integral_children(key: tuple) -> list[tuple[int, tuple, tuple]]:
-    """The children of ``_children`` for the integral count, by widths.
-
-    A vertex of width w stands for vertices at offsets 0..w from its own
-    colour, so it has max(0, q - w) colours.  Contracting e_i = (t, n, g)
-    forces x_n = x_t + g: t's offsets [0, w_t] and n's [g, g + w_n] join,
-    and t is re-based to the lower end lo of their hull, which moves every
-    link at t by lo.  A later link (x, n, g') becomes (x, t, g' - g + lo),
-    or, when x == t, a nonzero loop that no colouring violates.
-    """
-    n, links, widths = key
-    at_top = sorted((e for e in links if e[1] == n), reverse=True)
-    rest = links.difference(at_top)
-    children = [(1, *_state(rest, widths, None, switch=False))]
-    for i, (t, _, gain) in enumerate(at_top):
-        lo = min(0, gain)
-        merged = {(a, b, g + lo if b == t else g - lo if a == t else g) for a, b, g in rest}
-        merged.update(_link(x, t, other - gain + lo, None) for x, _, other in at_top[i + 1 :] if x != t)
-        width = max(widths[t], gain + widths[n]) - lo
-        new_widths = widths[:t] + (width,) + widths[t + 1 : n]
-        children.append((-1, *_state(frozenset(merged), new_widths, None, switch=False)))
-    return children
-
-
-def _times_vertices(terms: Terms, flags: tuple[bool, ...]) -> Terms:
-    """terms times q for each unflagged vertex and q - z for each flagged one."""
-    if not flags:
-        return terms
-    unflagged = flags.count(False)
-    out = {(dq + unflagged, dz): c for (dq, dz), c in terms.items()}
-    for _ in range(len(flags) - unflagged):
-        step: Terms = {}
-        for (dq, dz), c in out.items():
-            step[dq + 1, dz] = step.get((dq + 1, dz), 0) + c
-            step[dq, dz + 1] = step.get((dq, dz + 1), 0) - c
-        out = {m: c for m, c in step.items() if c}
-    return out
-
-
-def _times_widths(terms: Terms, widths: tuple[int, ...]) -> Terms:
-    """terms times max(0, q - w) for each width w."""
-    if not widths:
-        return terms
-    return {tuple(sorted(ws + widths)): c for ws, c in terms.items()}
-
-
-def _add_into(acc: Terms, terms: Terms, sign: int) -> None:
-    for m, c in terms.items():
-        value = acc.get(m, 0) + sign * c
-        if value:
-            acc[m] = value
-        else:
-            acc.pop(m, None)
-
-
-Children = Callable[[tuple], list[tuple[int, tuple, tuple]]]
-Times = Callable[[Terms, tuple], Terms]
-
-
-def _solve(key: tuple, children_of: Children, times: Times, memo: dict) -> Terms:
-    """The terms of a memo key, whose children ``children_of`` gives.
+def _solve(key: tuple, rule: _Rule, memo: dict) -> Terms:
+    """The terms of a memo key under ``rule``.
 
     One explicit stack of (key, children) frames, so no depth of contraction
     meets Python's recursion limit.  A frame computes its children once and
     pushes those not in ``memo``, the deletion on top, so that a contraction
     meeting a memoised deletion (as along a path) stops there.  Once all are
-    in ``memo`` it sums them, each ``times`` its peeled vertices.
+    in ``memo`` it sums them, each re-keyed by its peeled labels.
     """
     stack: list = [(key, None)]
     while stack:
@@ -356,13 +329,18 @@ def _solve(key: tuple, children_of: Children, times: Times, memo: dict) -> Terms
             if top in memo:
                 stack.pop()
                 continue
-            children = children_of(top)
+            children = _children(top, rule)
             stack[-1] = (top, children)
             stack.extend((child, None) for _, _, child in reversed(children) if child not in memo)
             continue
         acc: Terms = {}
         for sign, peeled, child in children:
-            _add_into(acc, times(memo[child], peeled), sign)
+            for m, c in (rule.peel(memo[child], peeled) if peeled else memo[child]).items():
+                value = acc.get(m, 0) + sign * c
+                if value:
+                    acc[m] = value
+                else:
+                    acc.pop(m, None)
         memo[top] = acc
         stack.pop()
     return memo[key]
@@ -377,11 +355,14 @@ _MEMO_STATES = 4096
 _memos: dict[tuple, dict] = {}
 
 
-def _memoised(name: tuple, empty: Terms, peeled: tuple, key: tuple, children_of: Children, times: Times) -> Terms:
-    """``times(_solve(key), peeled)`` in the memo ``name``, whose empty state has the terms ``empty``."""
-    memo = _memos.setdefault(name, {_EMPTY: empty})
+def _memoised(name: tuple, rule: _Rule, links: frozenset, labels: tuple) -> Terms:
+    """The terms of the graph (links, labels) under ``rule``, in the memo ``name``."""
+    memo = _memos.setdefault(name, {_EMPTY: {(): 1}})
+    peeled, key = _state(links, labels, rule)
     try:
-        return times(_solve(key, children_of, times, memo), peeled)
+        terms = _solve(key, rule, memo)
+        # the seed is peeled even bare, so that the flags read () as (0, 0)
+        return rule.peel(terms, peeled) if peeled or key is _EMPTY else terms
     finally:
         if len(_memos) + sum(map(len, _memos.values())) > _MEMO_STATES:
             _memos.clear()
@@ -407,6 +388,12 @@ def _read(
     return frozenset(links), tuple(flags)
 
 
+@lru_cache(maxsize=64)
+def _q_minus_z(b: int) -> tuple[tuple[int, int, int], ...]:
+    """(q - z)^b as (q degree, z degree, coefficient) triples."""
+    return tuple((b - k, k, comb(b, k) * (-1) ** k) for k in range(b + 1))
+
+
 def _expand_subsets(
     g: IntegralGainGraph | ModularGainGraph, max_edges: int, balanced_only: bool
 ) -> Poly2:
@@ -421,9 +408,9 @@ def _expand_subsets(
     if read is None:
         return Poly2()
     modulus = getattr(g, "modulus", None)
-    peeled, key = _state(*read, modulus)
-    children_of = partial(_children, modulus=modulus, loops=loops)
-    return Poly2(_memoised((modulus, loops), {(0, 0): 1}, peeled, key, children_of, _times_vertices))
+    rule = _Rule(modulus, True, partial(_flag_merge, loops), _peel_flags)
+    terms = _memoised((modulus, loops), rule, *read)
+    return Poly2(((a + dq, dz), c * r) for (a, b), c in terms.items() for dq, dz, r in _q_minus_z(b))
 
 
 def total_poly(g: IntegralGainGraph | ModularGainGraph, max_edges: int = 26) -> Poly2:
@@ -451,8 +438,7 @@ def _integral_terms(g: IntegralGainGraph, max_edges: int) -> Terms:
     read = _read(g, max_edges, loops=False)
     if read is None:
         return {}
-    peeled, key = _state(read[0], (0,) * (g.n + 1), None, switch=False)
-    return _memoised(("integral",), {(): 1}, peeled, key, _integral_children, _times_widths)
+    return _memoised(("integral",), _WIDTHS, read[0], (0,) * (g.n + 1))
 
 
 def integral_count(g: IntegralGainGraph, q: int, max_edges: int = 26) -> int:

@@ -75,6 +75,17 @@ def _usage_error(message: str) -> "SystemExit":
     return SystemExit(EXIT_USAGE)
 
 
+def _nonnegative(text: str) -> int:
+    """The argparse type of --max-edges and --switchings."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative: {value}")
+    return value
+
+
 def parse_partition(text: str) -> tuple[tuple[int, ...], ...]:
     """Blocks separated by '|', elements by spaces, e.g. '1 3|2 5|4 6'."""
     blocks = []
@@ -361,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--q", type=int, action="append", help="evaluation point (repeatable)")
     p_eval.add_argument("--z", type=int, default=1, help="z value for --function total")
     p_eval.add_argument("--json", action="store_true")
-    p_eval.add_argument("--max-edges", type=int, default=26, help="deletion-contraction edge guard")
+    p_eval.add_argument("--max-edges", type=_nonnegative, default=26, help="deletion-contraction edge guard")
     p_eval.set_defaults(run=_cmd_eval)
 
     p_poly = sub.add_parser("poly", help="print a chromatic polynomial")
@@ -372,12 +383,12 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["integral", "modular", "zero-free", "chromatic", "total"],
     )
     p_poly.add_argument("--json", action="store_true")
-    p_poly.add_argument("--max-edges", type=int, default=26, help="deletion-contraction edge guard")
+    p_poly.add_argument("--max-edges", type=_nonnegative, default=26, help="deletion-contraction edge guard")
     p_poly.set_defaults(run=_cmd_poly)
 
     p_regions = sub.add_parser("regions", help="count the regions of the arrangement")
     _add_source_args(p_regions)
-    p_regions.add_argument("--max-edges", type=int, default=26, help="deletion-contraction edge guard")
+    p_regions.add_argument("--max-edges", type=_nonnegative, default=26, help="deletion-contraction edge guard")
     p_regions.set_defaults(run=_cmd_regions)
 
     p_verify = sub.add_parser("verify", help="run identity verification suites")
@@ -394,9 +405,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="size bound for the suites, default 3: the corpus stops at 3 vertices, the Catalan and Linial suites at 4",
     )
     p_verify.add_argument("--graph", metavar="FILE", help="verify this graph instead of the corpus")
-    p_verify.add_argument("--switchings", type=int, default=25, help="random switchings per graph")
+    p_verify.add_argument("--switchings", type=_nonnegative, default=25, help="random switchings per graph")
     p_verify.add_argument("--json", action="store_true")
-    p_verify.add_argument("--max-edges", type=int, default=26, help="deletion-contraction edge guard")
+    p_verify.add_argument("--max-edges", type=_nonnegative, default=26, help="deletion-contraction edge guard")
     p_verify.set_defaults(run=_cmd_verify)
 
     p_lds = sub.add_parser("lds", help="lower degree sequences of overlap graphs")

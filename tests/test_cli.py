@@ -433,6 +433,31 @@ def test_usage_errors(tmp_path, capsys):
     assert code == 2  # modular counting needs q >= 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # a 0-edge graph used to trip its own guard: "0 edges exceed the expansion bound -1"
+        ["regions", "--graph", "{empty}", "--max-edges", "-1"],
+        # the oracle route used to answer silently
+        ["eval", "--graph", "{empty}", "--function", "integral", "--q", "3", "--max-edges", "-1"],
+        ["eval", "--family", "shi", "--n", "2", "--function", "zero-free", "--q", "3", "--max-edges", "-1"],
+        ["poly", "--family", "shi", "--n", "2", "--function", "total", "--max-edges", "-1"],
+        ["verify", "--suite", "total", "--max-edges", "-1"],
+        # used to report PASS over -5 switchings per graph
+        ["verify", "--suite", "invariance", "--switchings", "-5"],
+    ],
+    ids=["regions", "eval-oracle", "eval-engine", "poly", "verify-max-edges", "verify-switchings"],
+)
+def test_negative_bounds_are_usage_errors(tmp_path, capsys, argv):
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"n": 2, "edges": []}))
+    code = main([arg.format(empty=empty) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"error: argument {argv[-2]}: must be nonnegative: {argv[-1]}" in captured.err
+
+
 def test_family_closed_form_below_validity_still_prints(capsys):
     # below-threshold closed-form values are printed with the annotation,
     # not refused

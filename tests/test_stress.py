@@ -9,7 +9,10 @@ from __future__ import annotations
 import inspect
 import random
 import sys
+from functools import partial
 from itertools import combinations, product
+
+import pytest
 
 from gainchrom import chromatic
 from gainchrom.chromatic import (
@@ -17,6 +20,7 @@ from gainchrom.chromatic import (
     count_modular_colorings,
     count_multizero_colorings,
     enumerate_integral_colorings,
+    integral_count,
     total_poly,
     zero_free_poly,
 )
@@ -250,16 +254,23 @@ def test_shared_memo_is_bounded_between_calls(monkeypatch):
     assert 0 < len(chromatic._memos) + _memo_states() <= 20
 
 
-def test_deep_contraction_needs_no_recursion():
+@pytest.mark.parametrize("labels", ["flags", "widths"])
+def test_deep_contraction_needs_no_recursion(labels):
     # every contraction of a long circle merges its top vertex into the one
-    # below; the solver must not spend a Python frame per contraction
+    # below; the solver must not spend a Python frame per contraction,
+    # whichever labels its vertices carry
     n = 200
-    g = IntegralGainGraph(n, [(i, i + 1, 1) for i in range(1, n)] + [(1, n, 0)])
-    expected = (Q - 1) ** n + (-1) ** n * (Z - 1)
+    if labels == "flags":
+        g = IntegralGainGraph(n, [(i, i + 1, 1) for i in range(1, n)] + [(1, n, 0)])
+        solve, expected = partial(total_poly, g, max_edges=n), (Q - 1) ** n + (-1) ** n * (Z - 1)
+    else:
+        # the gain-0 circle counts the proper 7-colourings of C_200
+        g = IntegralGainGraph(n, [(i, i + 1, 0) for i in range(1, n)] + [(1, n, 0)])
+        solve, expected = partial(integral_count, g, 7, max_edges=n), 6**n + 6
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack()) + 100)
     try:
-        result = total_poly(g, max_edges=n)
+        result = solve()
     finally:
         sys.setrecursionlimit(limit)
     assert result == expected
