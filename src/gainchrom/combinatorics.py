@@ -7,8 +7,8 @@ iteration is deterministic.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
@@ -141,12 +141,11 @@ def flat_mobius(n: int, pairs: list[tuple[int, int]], flat: frozenset[int]) -> i
 # -- simple graphs -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SimpleGraph:
-    """Loopless graph on vertices 1..n with unordered edges (i, j), i < j."""
+class SimpleGraph(namedtuple("SimpleGraph", "n edges")):
+    """Loopless graph on vertices 1..n; edges is a frozenset of unordered
+    edges (i, j), i < j."""
 
-    n: int
-    edges: frozenset[tuple[int, int]]
+    __slots__ = ()
 
     @classmethod
     def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "SimpleGraph":

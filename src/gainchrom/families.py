@@ -17,10 +17,8 @@ simply may disagree with the coloring counts.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
-from fractions import Fraction
-from math import comb
+from collections import Counter, namedtuple
+from math import comb, gcd
 
 from .combinatorics import (
     SetPartition,
@@ -80,20 +78,15 @@ def sc_partition_graph(pi: SetPartition) -> IntegralGainGraph:
 # -- closed forms -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClosedForms:
-    """Exact polynomials for one family instance.
+class ClosedForms(namedtuple("ClosedForms", "integral modular zero_free integral_min_q modular_min_q")):
+    """Exact polynomials (Poly2) for one family instance.
 
     integral_min_q / modular_min_q are the least q for which the respective
     counting function is claimed to equal the polynomial; the zero-free
     polynomial is an identity, valid coefficientwise.
     """
 
-    integral: Poly2
-    modular: Poly2
-    zero_free: Poly2
-    integral_min_q: int
-    modular_min_q: int
+    __slots__ = ()
 
 
 def shi_closed_forms(n: int) -> ClosedForms:
@@ -199,38 +192,35 @@ def linial_closed_forms(n: int) -> ClosedForms:
 def linial_athanasiadis(n: int) -> Poly2:
     """Independent cross-check form (q/2) sum_j binom(n,j) ((q-j)/2)^(n-1).
 
-    Computed with exact rationals; raises NonIntegerResult if it fails to
-    clear to integer coefficients.
+    Computed exactly as integer numerators over 2^n; raises NonIntegerResult
+    if it fails to clear to integer coefficients.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    acc: dict[int, Fraction] = {}
+    acc = [0] * n
     for j in range(n + 1):
         w = comb(n, j)
         # (q - j)^(n-1) expanded by the binomial theorem
         for i in range(n):
-            c = Fraction(w * comb(n - 1, i) * (-j) ** (n - 1 - i))
-            acc[i] = acc.get(i, Fraction(0)) + c
-    scale = Fraction(1, 2**n)
+            acc[i] += w * comb(n - 1, i) * (-j) ** (n - 1 - i)
+    scale = 2**n
     terms: dict[tuple[int, int], int] = {}
-    for i, c in acc.items():
-        value = c * scale
-        if value == 0:
-            continue
-        if value.denominator != 1:
-            raise NonIntegerResult(f"coefficient of q^{i + 1} is {value}")
-        terms[(i + 1, 0)] = int(value)
+    for i, c in enumerate(acc):
+        value, rest = divmod(c, scale)
+        if rest:
+            d = gcd(c, scale)
+            raise NonIntegerResult(f"coefficient of q^{i + 1} is {c // d}/{scale // d}")
+        if value:
+            terms[(i + 1, 0)] = value
     return Poly2(terms)
 
 
-@dataclass(frozen=True)
-class RegionCounts:
+class RegionCounts(namedtuple("RegionCounts", "direct via_recurrence hollow")):
     """Catalan region count both ways, with the hollow counts used by the
-    recurrence r_n = sum_j c(n,j) r'_j."""
+    recurrence r_n = sum_j c(n,j) r'_j; hollow[j-1] = regions of the hollow
+    graph on j vertices."""
 
-    direct: int
-    via_recurrence: int
-    hollow: tuple[int, ...]  # hollow[j-1] = regions of the hollow graph on j vertices
+    __slots__ = ()
 
 
 def catalan_region_counts(n: int, max_edges: int = 26) -> RegionCounts:

@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import random
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
+from types import SimpleNamespace
 
 from .chromatic import (
     count_integral_colorings,
@@ -68,17 +68,22 @@ class NeutralEdgePresent(ValueError):
     """Raised by the complete-graph reduction when the input has gain-0 edges."""
 
 
-@dataclass
-class CheckReport:
+class CheckReport(SimpleNamespace):
     """Outcome of one identity verification; passed iff lhs == rhs exactly."""
 
-    identity: str
-    instance: str
-    passed: bool
-    lhs: object
-    rhs: object
-    witness: object = None
-    notes: str | None = None
+    def __init__(
+        self,
+        identity: str,
+        instance: str,
+        passed: bool,
+        lhs: object,
+        rhs: object,
+        witness: object = None,
+        notes: str | None = None,
+    ) -> None:
+        super().__init__(
+            identity=identity, instance=instance, passed=passed, lhs=lhs, rhs=rhs, witness=witness, notes=notes
+        )
 
     def as_dict(self) -> dict:
         return {
@@ -131,16 +136,6 @@ def _evaluate(
             value = value + (term if coeff == 1 else coeff * term)
         return value
     raise ValueError(f"unknown selector {selector!r}")
-
-
-def apply_selector(
-    selector: str,
-    g: IntegralGainGraph,
-    sample_q: Sequence[int],
-    max_edges: int = 26,
-) -> dict[int, int] | Poly2:
-    """The chromatic function named by ``selector``, as sampled values or a poly."""
-    return _evaluate(selector, {g: 1}, sample_q, max_edges)
 
 
 def _first_mismatch(lhs, rhs):

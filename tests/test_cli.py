@@ -113,6 +113,22 @@ def test_eval_file_graph_integral_at_huge_q_finishes(tmp_path):
     assert proc.stdout == f"{q}\t{expected}\n"
 
 
+def test_cli_import_leaves_out_heavy_stdlib_modules():
+    # Every CLI job is a fresh interpreter, so its import graph is part of
+    # every job's time. -S keeps modules that site hooks preload out of it.
+    src = str(Path(gainchrom.__file__).resolve().parents[1])
+    probe = "import json, sys, gainchrom.cli; print(json.dumps(sorted(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout))
+    assert loaded & {"dataclasses", "inspect", "fractions", "decimal"} == set()
+    modules = ("chromatic", "cli", "combinatorics", "families", "gaingraph", "identities", "poly")
+    assert {m for m in loaded if m.split(".")[0] == "gainchrom"} == {"gainchrom", *(f"gainchrom.{m}" for m in modules)}
+
+
 @pytest.mark.parametrize("function", ["integral", "modular"])
 def test_file_counts_agree_on_both_sides_of_the_edge_guard(tmp_path, capsys, monkeypatch, function):
     # with --max-edges 6, g5 (6 edges) is counted by deletion-contraction and

@@ -230,3 +230,17 @@ def test_lds_necessity_small():
 
 def test_normalize_partition():
     assert normalize_partition([(2, 5), (3, 1), (4,)]) == ((1, 3), (2, 5), (4,))
+
+
+def test_simple_graph_value_semantics():
+    edges = frozenset({(1, 2)})
+    g = SimpleGraph(2, edges)
+    assert g == SimpleGraph(n=2, edges=edges) == SimpleGraph.from_pairs(2, [(2, 1)])
+    assert (g.n, g.edges) == (2, edges)
+    assert hash(g) == hash(SimpleGraph(2, frozenset({(1, 2)}))) == hash((2, edges))
+    assert g != SimpleGraph(2, frozenset())
+    assert repr(g) == "SimpleGraph(n=2, edges=frozenset({(1, 2)}))"
+    with pytest.raises(AttributeError):
+        g.n = 3
+    with pytest.raises(AttributeError):
+        g.edges = frozenset()

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
+import pytest
+
 from gainchrom.chromatic import (
     count_integral_colorings,
     count_modular_colorings,
@@ -15,6 +17,8 @@ from gainchrom.families import (
     FAMILY_CLOSED_FORMS,
     catalan_closed_forms,
     catalan_graph,
+    ClosedForms,
+    RegionCounts,
     catalan_region_counts,
     hollow_catalan_closed_forms,
     hollow_catalan_graph,
@@ -214,7 +218,7 @@ def test_linial_closed_forms_sum_the_partition_forms():
 def test_linial_athanasiadis():
     assert linial_athanasiadis(2) == Q * (Q - 1)
     assert linial_athanasiadis(1) == Q
-    for n in range(1, 5):
+    for n in range(1, 9):
         assert linial_athanasiadis(n) == linial_closed_forms(n).zero_free
 
 
@@ -250,3 +254,31 @@ def test_catalan_integral_vanishing_threshold():
         graph = catalan_graph(n)
         assert count_integral_colorings(graph, 2 * n - 2) == 0
         assert count_integral_colorings(graph, 2 * n - 1) > 0
+
+
+def test_closed_forms_value_semantics():
+    forms = ClosedForms(Q, Q - 1, Q * Q, 1, 2)
+    same = ClosedForms(integral=Q, modular=Q - 1, zero_free=Q * Q, integral_min_q=1, modular_min_q=2)
+    assert forms == same and hash(forms) == hash(same)
+    assert (forms.integral, forms.modular, forms.zero_free) == (Q, Q - 1, Q * Q)
+    assert (forms.integral_min_q, forms.modular_min_q) == (1, 2)
+    assert forms != ClosedForms(Q, Q - 1, Q * Q, 1, 3)
+    assert repr(forms) == (
+        f"ClosedForms(integral={Q!r}, modular={Q - 1!r}, zero_free={Q * Q!r}, "
+        "integral_min_q=1, modular_min_q=2)"
+    )
+    for field in ("integral", "modular", "zero_free", "integral_min_q", "modular_min_q"):
+        with pytest.raises(AttributeError):
+            setattr(forms, field, 0)
+
+
+def test_region_counts_value_semantics():
+    counts = RegionCounts(4, 4, (1, 3))
+    same = RegionCounts(direct=4, via_recurrence=4, hollow=(1, 3))
+    assert counts == same == catalan_region_counts(2) and hash(counts) == hash(same)
+    assert (counts.direct, counts.via_recurrence, counts.hollow) == (4, 4, (1, 3))
+    assert counts != RegionCounts(4, 5, (1, 3))
+    assert repr(counts) == "RegionCounts(direct=4, via_recurrence=4, hollow=(1, 3))"
+    for field in ("direct", "via_recurrence", "hollow"):
+        with pytest.raises(AttributeError):
+            setattr(counts, field, 0)

@@ -10,6 +10,7 @@ from gainchrom.families import catalan_graph, hollow_catalan_graph, linial_graph
 from gainchrom.gaingraph import IntegralGainGraph
 from gainchrom.combinatorics import stirling1_signed
 from gainchrom.identities import (
+    CheckReport,
     NeutralEdgePresent,
     _combine,
     _describe,
@@ -250,3 +251,19 @@ def test_catalan_relations_report_the_relation_that_fails(monkeypatch, fresh_ora
     assert not report.passed
     assert report.lhs == {4: lhs}
     assert report.witness == ("q", 4, lhs, lhs + stirling1_signed(3, 2))
+
+
+def test_check_report_is_a_mutable_record():
+    report = CheckReport("id", "n=1", True, Q, Q)
+    assert report == CheckReport(identity="id", instance="n=1", passed=True, lhs=Q, rhs=Q)
+    assert (report.identity, report.instance, report.passed) == ("id", "n=1", True)
+    assert (report.lhs, report.rhs, report.witness, report.notes) == (Q, Q, None, None)
+    assert repr(report) == (
+        f"CheckReport(identity='id', instance='n=1', passed=True, lhs={Q!r}, rhs={Q!r}, "
+        "witness=None, notes=None)"
+    )
+    report.passed, report.witness, report.notes = False, ("q", 1, 2, 3), "changed"
+    assert report == CheckReport("id", "n=1", False, Q, Q, ("q", 1, 2, 3), "changed")
+    assert report != CheckReport("id", "n=1", True, Q, Q)
+    with pytest.raises(TypeError):
+        hash(report)
