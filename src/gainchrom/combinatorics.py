@@ -11,6 +11,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from functools import lru_cache
 from itertools import combinations
+from math import factorial, prod
 
 from .gaingraph import _GainDSU
 
@@ -89,15 +90,7 @@ def stirling1_signed(n: int, k: int) -> int:
 
 def partition_mobius(pi: SetPartition) -> int:
     """Mobius value of pi over the all-singletons partition: prod (-1)^(|B|-1) (|B|-1)!."""
-    out = 1
-    for block in pi:
-        b = len(block)
-        sign = -1 if (b - 1) % 2 else 1
-        fact = 1
-        for i in range(2, b):
-            fact *= i
-        out *= sign * fact
-    return out
+    return prod((-1) ** (len(block) - 1) * factorial(len(block) - 1) for block in pi)
 
 
 # -- closed edge sets (flats) of an ordinary multigraph ------------------------
@@ -111,16 +104,25 @@ def closure(n: int, pairs: list[tuple[int, int]], subset: Iterable[int]) -> froz
     return frozenset(i for i, (a, b) in enumerate(pairs) if dsu.find(a)[0] == dsu.find(b)[0])
 
 
+def _flat_weights(
+    n: int, pairs: list[tuple[int, int]], within: Iterable[int] | None = None
+) -> dict[frozenset[int], int]:
+    """sum of (-1)^|S| over the subsets S of ``within`` (every edge by
+    default), keyed by closure(S): one closure per subset.  By default every
+    flat is a key, since it closes to itself."""
+    members = range(len(pairs)) if within is None else sorted(within)
+    weights: dict[frozenset[int], int] = {}
+    for size in range(len(members) + 1):
+        sign = -1 if size % 2 else 1
+        for subset in combinations(members, size):
+            flat = closure(n, pairs, subset)
+            weights[flat] = weights.get(flat, 0) + sign
+    return weights
+
+
 def closed_edge_sets(n: int, pairs: list[tuple[int, int]]) -> list[frozenset[int]]:
-    """All closure-fixed edge subsets, smallest first."""
-    flats = []
-    m = len(pairs)
-    for size in range(m + 1):
-        for subset in combinations(range(m), size):
-            s = frozenset(subset)
-            if closure(n, pairs, s) == s:
-                flats.append(s)
-    return flats
+    """All closure-fixed edge subsets, smallest first, then lexicographically."""
+    return sorted(_flat_weights(n, pairs), key=lambda flat: (len(flat), sorted(flat)))
 
 
 def flat_mobius(n: int, pairs: list[tuple[int, int]], flat: frozenset[int]) -> int:
@@ -129,13 +131,7 @@ def flat_mobius(n: int, pairs: list[tuple[int, int]], flat: frozenset[int]) -> i
     Equals the Mobius value from the empty set in the lattice of flats, and
     is identically 0 whenever the empty set is not closed (loops present).
     """
-    total = 0
-    members = sorted(flat)
-    for size in range(len(members) + 1):
-        for subset in combinations(members, size):
-            if closure(n, pairs, subset) == flat:
-                total += -1 if size % 2 else 1
-    return total
+    return _flat_weights(n, pairs, flat).get(flat, 0)
 
 
 # -- simple graphs -------------------------------------------------------------

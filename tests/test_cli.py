@@ -295,6 +295,21 @@ def test_verify_all_output_bytes_are_pinned(capsys, extra, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+# The first-reduction and total suites at n = 3, where corpus graphs carry
+# up to 4 gain-0 edges, so the flat sums and vertex splits do real work.
+@pytest.mark.parametrize(
+    "suite, digest",
+    [
+        ("first", "c6a14440a5bb3cf92f74d16be99f2e963891753a9d3a2d90bacd6c2b2f506737"),
+        ("total", "27bf49b0b1f50e60840975844733d0269614bb63c666842b73e18b5de377580d"),
+    ],
+)
+def test_verify_suite_output_bytes_at_n3_are_pinned(capsys, suite, digest):
+    code, out = run_cli(capsys, "verify", "--suite", suite, "--n", "3", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 # The same pin for `verify --graph` on one 5-vertex graph with a gain-2 loop,
 # a parallel pair and two gain-0 links: its reports print sampled counts and
 # polynomials of graphs beyond the n <= 2 corpus.

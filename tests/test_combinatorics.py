@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from itertools import combinations, permutations
 from math import comb
 
@@ -116,6 +117,41 @@ def test_closed_sets_edgeless_and_loops():
     loopy = [(1, 1), (1, 2)]
     for flat in closed_edge_sets(2, loopy):
         assert flat_mobius(2, loopy, flat) == 0
+
+
+def random_multigraph(rng: random.Random) -> tuple[int, list[tuple[int, int]]]:
+    # up to 6 pairs on n <= 4 vertices, drawn with repetition so loops and
+    # parallel pairs are common
+    n = rng.randint(1, 4)
+    return n, [(rng.randint(1, n), rng.randint(1, n)) for _ in range(rng.randint(0, 6))]
+
+
+def test_closed_edge_sets_are_ordered_by_size_then_lexicographically():
+    rng = random.Random(13)
+    for _ in range(60):
+        n, pairs = random_multigraph(rng)
+        flats = closed_edge_sets(n, pairs)
+        every = [frozenset(s) for k in range(len(pairs) + 1) for s in combinations(range(len(pairs)), k)]
+        assert flats == [s for s in every if closure(n, pairs, s) == s]
+        keys = [(len(f), sorted(f)) for f in flats]
+        assert keys == sorted(keys)
+
+
+def test_flat_mobius_is_the_signed_count_of_subsets_closing_to_it():
+    rng = random.Random(7)
+    for _ in range(60):
+        n, pairs = random_multigraph(rng)
+        m = len(pairs)
+        weights: dict[frozenset[int], int] = {}
+        for k in range(m + 1):
+            for s in combinations(range(m), k):
+                cl = closure(n, pairs, s)
+                weights[cl] = weights.get(cl, 0) + (-1) ** k
+        for k in range(m + 1):
+            for s in combinations(range(m), k):
+                arg = frozenset(s)
+                # every subset is an argument; those that are not closed get 0
+                assert flat_mobius(n, pairs, arg) == (weights.get(arg, 0) if closure(n, pairs, arg) == arg else 0)
 
 
 def test_stable_partitions():
