@@ -49,7 +49,7 @@ from functools import lru_cache, partial
 from math import comb, prod
 
 from .gaingraph import IntegralGainGraph, ModularGainGraph, _GainDSU
-from .poly import Poly2
+from .poly import Poly2, _add_terms
 
 
 class TooManyEdges(RuntimeError):
@@ -335,12 +335,8 @@ def _solve(key: tuple, rule: _Rule, memo: dict) -> Terms:
             continue
         acc: Terms = {}
         for sign, peeled, child in children:
-            for m, c in (rule.peel(memo[child], peeled) if peeled else memo[child]).items():
-                value = acc.get(m, 0) + sign * c
-                if value:
-                    acc[m] = value
-                else:
-                    acc.pop(m, None)
+            terms = (rule.peel(memo[child], peeled) if peeled else memo[child]).items()
+            _add_terms(acc, terms if sign > 0 else ((m, -c) for m, c in terms))
         memo[top] = acc
         stack.pop()
     return memo[key]

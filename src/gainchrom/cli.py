@@ -39,28 +39,13 @@ from .families import (
     FAMILY_BUILDERS,
     FAMILY_CLOSED_FORMS,
     ClosedForms,
-    linial_athanasiadis,
-    linial_closed_forms,
     sc_graph,
     sc_partition_closed_forms,
     sc_partition_graph,
     sc_path_closed_forms,
 )
 from .gaingraph import IntegralGainGraph, strict_int
-from .identities import (
-    CheckReport,
-    check_catalan_hollow_relations,
-    check_linial_partition_expansion,
-    check_modular_threshold,
-    check_multizero_agreement,
-    check_neutral_subset_reduction,
-    check_partition_complete_reduction,
-    check_stable_partition_reduction,
-    check_total_split,
-    check_total_uniform,
-    fixture_corpus,
-    run_invariance_suite,
-)
+from .identities import SUITES, _suite_reports
 from .poly import Poly2, format_poly, poly_to_term_list
 
 EXIT_OK = 0
@@ -269,59 +254,10 @@ def _emit_report(report, as_json: bool) -> None:
         print(line)
 
 
-_CORPUS_CHECKS = {
-    "first": check_neutral_subset_reduction,
-    "second": check_stable_partition_reduction,
-    "complete": check_partition_complete_reduction,
-}
-
-
 def _cmd_verify(args) -> int:
-    n = args.n
-    reports = []
-    if args.graph:
-        corpus: tuple[IntegralGainGraph, ...] = (_load_graph_file(args.graph),)
-    else:
-        corpus = fixture_corpus(max_n=min(n, 3))
-    suites = (
-        ["first", "second", "complete", "catalan", "linial", "total", "invariance"]
-        if args.suite == "all"
-        else [args.suite]
-    )
-    for suite in suites:
-        if suite in _CORPUS_CHECKS:
-            check = _CORPUS_CHECKS[suite]
-            for g in corpus:
-                if suite == "complete" and g.neutral_indices():
-                    continue
-                reports.append(check(g, "integral", range(0, 6), args.max_edges))
-                reports.append(check(g, "zero_free", max_edges=args.max_edges))
-        elif suite == "catalan":
-            for size in range(1, n + 1):
-                for selector in ("integral", "modular", "zero_free"):
-                    reports.append(check_catalan_hollow_relations(size, selector, max_edges=args.max_edges))
-        elif suite == "linial":
-            for size in range(1, n + 1):
-                for selector in ("integral", "modular", "zero_free"):
-                    reports.append(check_linial_partition_expansion(size, selector, max_edges=args.max_edges))
-                ath = linial_athanasiadis(size)
-                closed = linial_closed_forms(size).zero_free
-                reports.append(
-                    CheckReport("linial-athanasiadis", f"n={size}", ath == closed, ath, closed)
-                )
-        elif suite == "total":
-            for g in corpus:
-                reports.append(check_total_split(g, args.max_edges))
-            for family in ("catalan", "hollow-catalan", "shi", "linial"):
-                for size in range(1, min(n, 3) + 1):
-                    reports.append(check_total_uniform(family, size, args.max_edges))
-        elif suite == "invariance":
-            reports.extend(run_invariance_suite(corpus, switchings=args.switchings, max_edges=args.max_edges))
-            for g in corpus:
-                reports.append(check_modular_threshold(g, max_edges=args.max_edges))
-            for g in corpus:
-                for m in (2, 3):
-                    reports.append(check_multizero_agreement(g, m, 1, 1, args.max_edges))
+    graph = _load_graph_file(args.graph) if args.graph else None
+    suites = SUITES if args.suite == "all" else (args.suite,)
+    reports = _suite_reports(suites, graph, args.n, args.switchings, args.max_edges)
     failures = 0
     for report in reports:
         _emit_report(report, args.json)
@@ -395,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--suite",
         default="all",
-        choices=["all", "first", "second", "complete", "catalan", "linial", "total", "invariance"],
+        choices=["all", *SUITES],
     )
     p_verify.add_argument(
         "--n",

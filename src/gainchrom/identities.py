@@ -46,10 +46,12 @@ from .families import (
     FAMILY_BUILDERS,
     catalan_graph,
     hollow_catalan_graph,
+    linial_athanasiadis,
+    linial_closed_forms,
     sc_partition_graph,
 )
 from .gaingraph import IntegralGainGraph
-from .poly import Poly2, Q, Z, falling_factorial
+from .poly import Poly2, Q, Z, _add_terms, falling_factorial
 
 COUNTING_SELECTORS = ("integral", "modular")
 POLY_SELECTORS = ("zero_free", "total")
@@ -108,11 +110,9 @@ def _count(selector: str, g: IntegralGainGraph, q: int) -> int:
 
 def _combine(terms: Iterable[tuple[IntegralGainGraph, int]]) -> _Combination:
     """The formal combination of (graph, coefficient) terms: equal graphs
-    merged, zero coefficients dropped, graphs in order of first appearance."""
-    merged: _Combination = {}
-    for g, coeff in terms:
-        merged[g] = merged.get(g, 0) + coeff
-    return {g: coeff for g, coeff in merged.items() if coeff}
+    merged, zero coefficients dropped, each graph placed where its sum last
+    became nonzero."""
+    return _add_terms({}, terms)
 
 
 def _evaluate(
@@ -624,3 +624,54 @@ def fixture_corpus(max_n: int = 3, max_edges: int = 4) -> tuple[IntegralGainGrap
                     seen.add(key)
                     graphs.append(g)
     return tuple(graphs)
+
+
+# -- verify suites ------------------------------------------------------------------
+
+# The suites of `gainchrom verify`, in the order `--suite all` runs them.
+SUITES = ("first", "second", "complete", "catalan", "linial", "total", "invariance")
+
+# Checks are looked up by suite name in module-level dicts, never compared
+# or captured as function objects, so that a wrapper re-bound in the dict
+# (as a tracer does) is the one that runs.
+_CORPUS_CHECKS = {
+    "first": check_neutral_subset_reduction,
+    "second": check_stable_partition_reduction,
+    "complete": check_partition_complete_reduction,
+}
+_FAMILY_CHECKS = {"catalan": check_catalan_hollow_relations, "linial": check_linial_partition_expansion}
+
+
+def _suite_reports(
+    suites: Iterable[str], graph: IntegralGainGraph | None, n: int, switchings: int, max_edges: int
+) -> list[CheckReport]:
+    """The reports of the named suites, in order, over ``graph`` alone or
+    else the fixture corpus up to min(n, 3) vertices, built once.  The
+    Catalan and Linial suites run sizes 1..n, the total-uniform families
+    1..min(n, 3); complete skips graphs with gain-0 edges."""
+    corpus = (graph,) if graph is not None else fixture_corpus(max_n=min(n, 3))
+    reports: list[CheckReport] = []
+    for suite in suites:
+        if suite in _CORPUS_CHECKS:
+            for g in corpus:
+                if suite == "complete" and g.neutral_indices():
+                    continue
+                reports.append(_CORPUS_CHECKS[suite](g, "integral", range(0, 6), max_edges))
+                reports.append(_CORPUS_CHECKS[suite](g, "zero_free", max_edges=max_edges))
+        elif suite in _FAMILY_CHECKS:
+            for size in range(1, n + 1):
+                for selector in ("integral", "modular", "zero_free"):
+                    reports.append(_FAMILY_CHECKS[suite](size, selector, max_edges=max_edges))
+                if suite == "linial":
+                    ath, closed = linial_athanasiadis(size), linial_closed_forms(size).zero_free
+                    reports.append(CheckReport("linial-athanasiadis", f"n={size}", ath == closed, ath, closed))
+        elif suite == "total":
+            reports.extend(check_total_split(g, max_edges) for g in corpus)
+            for family in ("catalan", "hollow-catalan", "shi", "linial"):
+                for size in range(1, min(n, 3) + 1):
+                    reports.append(check_total_uniform(family, size, max_edges))
+        elif suite == "invariance":
+            reports.extend(run_invariance_suite(corpus, switchings=switchings, max_edges=max_edges))
+            reports.extend(check_modular_threshold(g, max_edges=max_edges) for g in corpus)
+            reports.extend(check_multizero_agreement(g, m, 1, 1, max_edges) for g in corpus for m in (2, 3))
+    return reports

@@ -19,6 +19,20 @@ from collections.abc import Iterable, Mapping
 Monomial = tuple[int, int]
 
 
+def _add_terms(acc: dict, pairs: Iterable[tuple]) -> dict:
+    """Add each (key, coefficient) pair into the sparse sum ``acc`` and drop
+    the keys whose sum is 0; returns ``acc``.  Every sparse sum of the
+    package (polynomial terms, combinations of graphs, memoised engine
+    terms) is built by this one loop."""
+    for key, c in pairs:
+        s = acc.get(key, 0) + c
+        if s:
+            acc[key] = s
+        else:
+            acc.pop(key, None)
+    return acc
+
+
 class Poly2:
     """Immutable bivariate polynomial in (q, z) over the integers."""
 
@@ -28,17 +42,18 @@ class Poly2:
         self,
         terms: Mapping[Monomial, int] | Iterable[tuple[Monomial, int]] | None = None,
     ):
-        items = terms.items() if isinstance(terms, Mapping) else (terms or ())
-        acc: dict[Monomial, int] = {}
-        for (dq, dz), coeff in items:
+        items = list(terms.items() if isinstance(terms, Mapping) else (terms or ()))
+        for (dq, dz), _ in items:
             if dq < 0 or dz < 0:
                 raise ValueError(f"negative exponent in monomial ({dq}, {dz})")
-            c = acc.get((dq, dz), 0) + coeff
-            if c:
-                acc[(dq, dz)] = c
-            else:
-                acc.pop((dq, dz), None)
-        self._terms = acc
+        self._terms = _add_terms({}, items)
+
+    @classmethod
+    def _of(cls, terms: dict[Monomial, int]) -> "Poly2":
+        """The polynomial holding ``terms``, whose coefficients are all nonzero."""
+        out = cls.__new__(cls)
+        out._terms = terms
+        return out
 
     @classmethod
     def zero(cls) -> "Poly2":
@@ -91,16 +106,7 @@ class Poly2:
         other = self._coerce(other)
         if not isinstance(other, Poly2):
             return NotImplemented
-        acc = dict(self._terms)
-        for m, c in other._terms.items():
-            s = acc.get(m, 0) + c
-            if s:
-                acc[m] = s
-            else:
-                acc.pop(m, None)
-        out = Poly2()
-        out._terms = acc
-        return out
+        return Poly2._of(_add_terms(dict(self._terms), other._terms.items()))
 
     __radd__ = __add__
 
@@ -114,18 +120,12 @@ class Poly2:
         other = self._coerce(other)
         if not isinstance(other, Poly2):
             return NotImplemented
-        acc: dict[Monomial, int] = {}
-        for (aq, az), ac in self._terms.items():
-            for (bq, bz), bc in other._terms.items():
-                m = (aq + bq, az + bz)
-                s = acc.get(m, 0) + ac * bc
-                if s:
-                    acc[m] = s
-                else:
-                    acc.pop(m, None)
-        out = Poly2()
-        out._terms = acc
-        return out
+        products = [
+            ((aq + bq, az + bz), ac * bc)
+            for (aq, az), ac in self._terms.items()
+            for (bq, bz), bc in other._terms.items()
+        ]
+        return Poly2._of(_add_terms({}, products))
 
     __rmul__ = __mul__
 
@@ -156,16 +156,7 @@ class Poly2:
 
     def substitute_z(self, value: int) -> "Poly2":
         """Partially evaluate at z = value, leaving a polynomial in q alone."""
-        acc: dict[Monomial, int] = {}
-        for (dq, dz), c in self._terms.items():
-            s = acc.get((dq, 0), 0) + c * value**dz
-            if s:
-                acc[(dq, 0)] = s
-            else:
-                acc.pop((dq, 0), None)
-        out = Poly2()
-        out._terms = acc
-        return out
+        return Poly2._of(_add_terms({}, [((dq, 0), c * value**dz) for (dq, dz), c in self._terms.items()]))
 
     def __str__(self) -> str:
         return format_poly(self)
@@ -225,7 +216,7 @@ def parse_poly(text: str) -> Poly2:
     tokens = re.findall(r"[+-]?[^+-]+", s)
     if "".join(tokens) != s:
         raise ValueError(f"cannot parse polynomial {text!r}")
-    acc: dict[Monomial, int] = {}
+    terms: list[tuple[Monomial, int]] = []
     for token in tokens:
         sign = -1 if token.startswith("-") else 1
         body = token.lstrip("+-")
@@ -244,8 +235,8 @@ def parse_poly(text: str) -> Poly2:
                 dq += e
             else:
                 dz += e
-        acc[(dq, dz)] = acc.get((dq, dz), 0) + sign * coeff
-    return Poly2(acc)
+        terms.append(((dq, dz), sign * coeff))
+    return Poly2(terms)
 
 
 def poly_to_term_list(p: Poly2) -> list[dict[str, int]]:

@@ -330,3 +330,14 @@ def test_neutral_deletion_contraction_spot():
             deleted, q
         ) - count_integral_colorings(contracted, q)
     assert total_poly(g) == total_poly(deleted) - total_poly(contracted)
+
+
+def test_memoised_terms_store_no_zero_coefficient():
+    from gainchrom import chromatic
+
+    chromatic._memos.clear()
+    total_poly(catalan_graph(4))
+    integral_count(shi_graph(4), 5)
+    values = [terms for memo in chromatic._memos.values() for terms in memo.values()]
+    assert len(chromatic._memos) == 2 and len(values) > 20
+    assert all(0 not in terms.values() for terms in values)

@@ -295,6 +295,48 @@ def test_verify_all_output_bytes_are_pinned(capsys, extra, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+# The same pin at the two ends of --n: at 4 the Catalan and Linial suites
+# reach 4 while the corpus and the total-uniform families stop at 3; at 0
+# the corpus is the empty graph alone.
+@pytest.mark.parametrize(
+    "n, extra, digest",
+    [
+        ("4", [], "7648cdf657564e316973f871926a4086391292bd3f907c2de3af97a33ea4755e"),
+        ("0", ["--json"], "4811d66619d9cbe624289c94f9debbe7f5a979fb3a2c2d6189b69dfa0a77a673"),
+    ],
+    ids=["n4-text", "n0-json"],
+)
+def test_verify_all_output_bytes_at_the_ends_of_n_are_pinned(capsys, n, extra, digest):
+    code, out = run_cli(capsys, "verify", "--suite", "all", "--n", n, *extra)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# The perfbench tracer wraps every public function and re-binds it wherever
+# a module or module-level dict holds it, so code that compares functions by
+# identity or keeps them in closures behaves differently under it.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--suite", "all", "--n", "2"],
+        ["poly", "--family", "shi", "--n", "3", "--function", "total"],
+    ],
+    ids=["verify", "poly"],
+)
+def test_traced_run_matches_the_plain_run(tmp_path, argv):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    plain = subprocess.run(
+        [sys.executable, "-m", "gainchrom.cli", *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    traced = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "trace_child.py"), str(tmp_path / "spans.bin"), "job", "--", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (traced.returncode, traced.stdout) == (plain.returncode, plain.stdout)
+    assert plain.returncode == 0
+
+
 # The first-reduction and total suites at n = 3, where corpus graphs carry
 # up to 4 gain-0 edges, so the flat sums and vertex splits do real work.
 @pytest.mark.parametrize(

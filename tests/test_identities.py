@@ -79,6 +79,13 @@ def test_neutral_subset_and_flat_expansions_are_equal_combinations():
     assert (terms, distinct, nonzero) == (1357, 723, 328)
 
 
+def test_combine_drops_graphs_whose_coefficients_cancel():
+    a, b, c = IntegralGainGraph(1), IntegralGainGraph(2), IntegralGainGraph(2, [(1, 2, 1)])
+    assert _combine([(a, 1), (b, 2), (a, -1), (c, 1), (b, -2)]) == {c: 1}
+    assert _combine([(a, 2), (a, -2)]) == {}
+    assert _combine([(a, 1), (b, 1), (a, -1), (a, 3)]) == {a: 3, b: 1}
+
+
 def test_neutral_subset_reduction_zero_free_catalan():
     assert check_neutral_subset_reduction(catalan_graph(3), "zero_free").passed
 

@@ -138,3 +138,12 @@ def test_term_list_round_trip():
 def test_negative_exponents_rejected():
     with pytest.raises(ValueError):
         Poly2({(-1, 0): 1})
+
+
+def test_cancelled_terms_are_not_stored():
+    assert (Q + 1) * (Q - 1) == Q**2 - 1
+    assert len(((Q + 1) * (Q - 1))._terms) == 2
+    assert (Q + Z + 1) + (-Q - Z) == ONE and len(((Q + Z + 1) + (-Q - Z))._terms) == 1
+    assert Poly2([((1, 0), 2), ((1, 0), -2), ((0, 0), 3)])._terms == {(0, 0): 3}
+    assert (Q * Z - Q).substitute_z(1)._terms == {}
+    assert (Q**2 * Z - 2 * Q**2 + Q).substitute_z(2)._terms == {(1, 0): 1}
