@@ -9,8 +9,8 @@ c -> c + gain, the modular count c -> c + gain mod q; the multi-zero count
 turns each block of m paired colours by the gain mod m and adds null
 colours that forbid themselves.  The last vertex is counted, not walked.
 These counts are the ground truth every closed form, identity and engine
-is tested and verified against; the CLI answers from the engines below and
-falls back on the oracles only above its edge guard.
+is tested and verified against; the CLI answers from the engines below
+alone.
 
 The polynomial functions compute the alternating sum over edge subsets
 

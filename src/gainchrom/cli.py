@@ -15,13 +15,10 @@ import json
 import os
 import sys
 from collections.abc import Callable
-from functools import partial
 
 from .chromatic import (
     TooManyEdges,
     chromatic_poly,
-    count_integral_colorings,
-    count_modular_colorings,
     integral_count,
     region_count,
     total_poly,
@@ -141,97 +138,84 @@ def _resolve_source(args) -> tuple[IntegralGainGraph, Callable[[], ClosedForms] 
 
 def _polynomial(
     function: str, graph: IntegralGainGraph, forms: Callable[[], ClosedForms] | None, max_edges: int
-) -> tuple[Poly2 | None, int | None]:
-    """The polynomial a function is read from, and the least q it holds from.
+) -> tuple[Poly2 | None, int | None, Callable[[int, int], int]]:
+    """How a function of a source is evaluated: the polynomial it is read
+    from (None if it has none), the least q that polynomial holds from, and
+    its value at (q, z).
 
     A family's integral, modular and zero-free functions are its closed
     forms; the zero-free, chromatic and total functions of any other graph
-    come from deletion-contraction.  (None, None) leaves a file graph's
-    integral and modular counts to ``_file_count``.
+    come from deletion-contraction.  So do a file graph's integral and
+    modular counts, which have no polynomial here: ``integral_count`` is
+    exact at every q, and the modular count at q is the zero-free
+    polynomial of the gains mod q, evaluated at q, since a subset counts
+    there iff it is balanced mod q.  Every engine trips the one edge guard.
     """
     if forms is not None and function not in ("chromatic", "total"):
         built = forms()
-        return {
+        poly, min_q = {
             "integral": (built.integral, built.integral_min_q),
             "modular": (built.modular, built.modular_min_q),
             "zero-free": (built.zero_free, None),
         }[function]
-    if function in ("integral", "modular"):
-        return None, None
-    engine = {"zero-free": zero_free_poly, "chromatic": chromatic_poly, "total": total_poly}[function]
-    return engine(graph, max_edges), None
-
-
-def _file_count(function: str, graph: IntegralGainGraph, max_edges: int) -> Callable[[int], int]:
-    """The integral or modular count of a file graph, as a function of q.
-
-    Within the edge guard, deletion-contraction answers: ``integral_count``
-    for the integral count, and for the modular count the zero-free
-    polynomial of the gains mod q at q, since a subset is counted iff it is
-    balanced mod q.  Above the guard the colouring oracles answer, however
-    long they take.
-    """
-    if len(graph.edges) > max_edges:
-        return partial(count_integral_colorings if function == "integral" else count_modular_colorings, graph)
+        return poly, min_q, poly.evaluate
     if function == "integral":
-        return lambda q: integral_count(graph, q, max_edges)
-    return lambda q: zero_free_poly(graph.reduce_mod(q), max_edges).evaluate(q, 0)
+        return None, None, lambda q, z: integral_count(graph, q, max_edges)
+    if function == "modular":
+        return None, None, lambda q, z: zero_free_poly(graph.reduce_mod(q), max_edges).evaluate(q, 0)
+    engine = {"zero-free": zero_free_poly, "chromatic": chromatic_poly, "total": total_poly}[function]
+    poly = engine(graph, max_edges)
+    return poly, None, poly.evaluate
 
 
-def _print_rows(rows: list[dict], args, function: str, source: str, poly: Poly2 | None) -> None:
-    if args.json:
-        doc = {
-            "function": function,
-            "graph": source,
-            "results": rows,
-            "polynomial": None if poly is None else poly_to_term_list(poly),
-        }
-        print(json.dumps(doc))
-        return
-    for row in rows:
-        line = f"{row['q']}\t{row['value']}"
-        if row.get("below_valid_range"):
-            line += "\t# below_valid_range"
-        print(line)
+def _print_json(function: str, source: str, results: list[dict] | None, poly: Poly2 | None) -> None:
+    polynomial = None if poly is None else poly_to_term_list(poly)
+    print(json.dumps({"function": function, "graph": source, "results": results, "polynomial": polynomial}))
 
 
 def _cmd_eval(args) -> int:
     function = args.function
+    if args.z is not None and function != "total":
+        raise _usage_error("--z applies to --function total only")
+    if args.q and function == "regions":
+        raise _usage_error("--function regions takes no --q")
     graph, forms, source = _resolve_source(args)
     if function == "regions":
         value = region_count(graph, args.max_edges)
         if args.json:
-            print(json.dumps({"function": function, "graph": source, "results": [{"q": None, "z": None, "value": value}], "polynomial": None}))
+            _print_json(function, source, [{"q": None, "z": None, "value": value}], None)
         else:
             print(f"regions\t{value}")
         return EXIT_OK
     qs = args.q
     if not qs:
         raise _usage_error("--q is required (repeatable)")
-    poly, min_q = _polynomial(function, graph, forms, args.max_edges)
+    poly, min_q, value = _polynomial(function, graph, forms, args.max_edges)
     if poly is None and function == "modular" and min(qs) < 1:
         raise _usage_error("modular counting needs q >= 1")
-    count = _file_count(function, graph, args.max_edges) if poly is None else None
-    z = {"zero-free": 0, "chromatic": 1, "total": args.z}.get(function)
+    z = {"zero-free": 0, "chromatic": 1, "total": 1 if args.z is None else args.z}.get(function)
     rows: list[dict] = []
     for q in qs:
-        value = count(q) if poly is None else poly.evaluate(q, z or 0)
-        row = {"q": q, "z": z, "value": value}
+        row = {"q": q, "z": z, "value": value(q, z or 0)}
         if min_q is not None and q < min_q:
             row["below_valid_range"] = True
         rows.append(row)
-    _print_rows(rows, args, function, source, poly)
+    if args.json:
+        _print_json(function, source, rows, poly)
+    else:
+        for row in rows:
+            print(f"{row['q']}\t{row['value']}" + ("\t# below_valid_range" if row.get("below_valid_range") else ""))
     return EXIT_OK
 
 
 def _cmd_poly(args) -> int:
     function = args.function
     graph, forms, source = _resolve_source(args)
-    poly, _ = _polynomial(function, graph, forms, args.max_edges)
+    poly, _, _ = _polynomial(function, graph, forms, args.max_edges)
     if poly is None:
         raise _usage_error(f"{function} is a closed form for families only; file graphs have no {function} polynomial")
     if args.json:
-        print(json.dumps({"function": function, "graph": source, "results": None, "polynomial": poly_to_term_list(poly)}))
+        _print_json(function, source, None, poly)
     else:
         print(format_poly(poly))
     return EXIT_OK
@@ -306,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["integral", "modular", "zero-free", "chromatic", "total", "regions"],
     )
     p_eval.add_argument("--q", type=int, action="append", help="evaluation point (repeatable)")
-    p_eval.add_argument("--z", type=int, default=1, help="z value for --function total")
+    p_eval.add_argument("--z", type=int, help="z value for --function total, default 1")
     p_eval.add_argument("--json", action="store_true")
     p_eval.add_argument("--max-edges", type=_nonnegative, default=26, help="deletion-contraction edge guard")
     p_eval.set_defaults(run=_cmd_eval)

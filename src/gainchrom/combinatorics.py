@@ -9,9 +9,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from functools import lru_cache
 from itertools import combinations
-from math import factorial, prod
+from math import comb, factorial, prod
 
 from .gaingraph import _GainDSU
 
@@ -60,28 +59,27 @@ def bell_number(n: int) -> int:
     return sum(stirling2(n, k) for k in range(n + 1))
 
 
-@lru_cache(maxsize=None)
 def stirling2(n: int, k: int) -> int:
-    """Partitions of [n] into k blocks."""
+    """Partitions of [n] into k blocks: the surjections onto k labelled
+    blocks, counted by inclusion-exclusion, over k!."""
     if n < 0 or k < 0:
         raise ValueError("indices must be nonnegative")
-    if n == 0:
-        return 1 if k == 0 else 0
-    if k == 0 or k > n:
+    if k > n:
         return 0
-    return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
+    return sum((-1) ** i * comb(k, i) * (k - i) ** n for i in range(k + 1)) // factorial(k)
 
 
-@lru_cache(maxsize=None)
 def cycle_count(n: int, k: int) -> int:
-    """Permutations of [n] with k cycles (unsigned Stirling numbers of the first kind)."""
+    """Permutations of [n] with k cycles (unsigned Stirling numbers of the
+    first kind): the coefficient of q^k in q(q + 1)...(q + n - 1)."""
     if n < 0 or k < 0:
         raise ValueError("indices must be nonnegative")
-    if n == 0:
-        return 1 if k == 0 else 0
-    if k == 0 or k > n:
+    if k > n:
         return 0
-    return (n - 1) * cycle_count(n - 1, k) + cycle_count(n - 1, k - 1)
+    row = [1] + [0] * k  # q^0 .. q^k of the product of the first m factors
+    for m in range(n):
+        row = [m * row[0], *(m * c + lower for c, lower in zip(row[1:], row))]
+    return row[k]
 
 
 def stirling1_signed(n: int, k: int) -> int:

@@ -13,8 +13,7 @@ from pathlib import Path
 import pytest
 
 import gainchrom
-from gainchrom import cli
-from gainchrom.chromatic import count_integral_colorings
+from gainchrom.chromatic import count_integral_colorings, count_modular_colorings
 from gainchrom.cli import main, parse_partition
 from gainchrom.families import linial_closed_forms
 from gainchrom.gaingraph import IntegralGainGraph
@@ -130,26 +129,36 @@ def test_cli_import_leaves_out_heavy_stdlib_modules():
 
 
 @pytest.mark.parametrize("function", ["integral", "modular"])
-def test_file_counts_agree_on_both_sides_of_the_edge_guard(tmp_path, capsys, monkeypatch, function):
-    # with --max-edges 6, g5 (6 edges) is counted by deletion-contraction and
-    # g5 plus one link (7 edges) by the colouring oracle; each is then run
-    # through the other route as well
-    oracle_name = f"count_{function}_colorings"
-    oracle = getattr(cli, oracle_name)
-    oracle_calls = []
-    monkeypatch.setattr(cli, oracle_name, lambda g, q: oracle_calls.append(q) or oracle(g, q))
-    qs = ["--q", "1", "--q", "3", "--q", "6"]
-    for edges, guard, other in ((G5["edges"], "6", "5"), (G5["edges"] + [[2, 5, -2]], "6", "7")):
-        path = tmp_path / "g.json"
-        path.write_text(json.dumps({"n": 5, "edges": edges}))
-        outputs = []
-        for max_edges in (guard, other):
-            oracle_calls.clear()
-            code, out = run_cli(capsys, "eval", "--graph", str(path), "--function", function, *qs, "--max-edges", max_edges)
-            assert code == 0
-            outputs.append((out, bool(oracle_calls)))
-        assert outputs[0][0] == outputs[1][0]
-        assert [by_oracle for _, by_oracle in outputs] == [len(edges) > 6, len(edges) <= 6]
+def test_file_counts_refuse_above_the_edge_guard(tmp_path, capsys, function):
+    # g5 plus one link has 7 edges: refused at --max-edges 6, counted at 7
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"n": 5, "edges": G5["edges"] + [[2, 5, -2]]}))
+    argv = ["eval", "--graph", str(path), "--function", function, "--q", "1", "--q", "3", "--q", "6"]
+    assert main([*argv, "--max-edges", "6"]) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: 7 edges exceed the expansion bound 6\n")
+    oracle = count_integral_colorings if function == "integral" else count_modular_colorings
+    g = IntegralGainGraph.from_dict(json.loads(path.read_text()))
+    expected = "".join(f"{q}\t{oracle(g, q)}\n" for q in (1, 3, 6))
+    assert run_cli(capsys, *argv, "--max-edges", "7") == (0, expected)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(["eval", "--function", f, "--q", "3"] for f in ("integral", "modular", "zero-free", "chromatic", "total")),
+        ["eval", "--function", "regions"],
+        *(["poly", "--function", f] for f in ("zero-free", "chromatic", "total")),
+        ["regions"],
+    ],
+    ids=lambda argv: "-".join(a for a in argv if not a.startswith("-") and a != "3"),
+)
+def test_every_function_trips_the_one_edge_guard(tmp_path, capsys, argv):
+    path = tmp_path / "g5.json"
+    path.write_text(json.dumps(G5))
+    assert main([*argv, "--graph", str(path), "--max-edges", "5"]) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: 6 edges exceed the expansion bound 5\n")
 
 
 def test_eval_modular_and_total(capsys):
@@ -436,7 +445,7 @@ def _function_matrix():
 @pytest.mark.parametrize(
     "source, digest",
     [
-        (["--graph", "g.json"], "d1ade0abec6b3d089881c69765ffe697c92c3c89ccf7af5df7b18498b2b62be2"),
+        (["--graph", "g.json"], "72dd7ade8d76ddcd1e62d17cc904077869ea9004f2b3dd4ff197cf11bab82add"),
         (["--family", "shi", "--n", "3"], "7c008263b281784c55d9cfb611bd4f38329ef4f66261f07a435f5b071aed3a37"),
         (["--family", "sc", "--partition", "1 3|2 5|4 6"], "2a69dbd607a079d62f4cd9b309d9a5e6429546bd9e427bf163116f137fae6186"),
         (["--family", "sc", "--minus-edges", "minus.json"], "f0f0d350859dfdb2bee2157cf7ea033ba79459b766b4c451f6a327ae154e3f70"),
@@ -504,6 +513,10 @@ def test_usage_errors(tmp_path, capsys):
     path.write_text(json.dumps({"n": 2, "edges": [[1, 2, 1]]}))
     code, _ = run_cli(capsys, "eval", "--graph", str(path), "--function", "modular", "--q", "0")
     assert code == 2  # modular counting needs q >= 1
+    code, out = run_cli(capsys, "eval", "--family", "catalan", "--n", "3", "--function", "zero-free", "--q", "4", "--z", "7")
+    assert (code, out) == (2, "")  # --z is read by --function total only
+    code, out = run_cli(capsys, "eval", "--family", "shi", "--n", "2", "--function", "regions", "--q", "3")
+    assert (code, out) == (2, "")  # a region count has no q
 
 
 @pytest.mark.parametrize(

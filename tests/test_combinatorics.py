@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import random
+import sys
 from itertools import combinations, permutations
-from math import comb
+from math import comb, factorial
 
 import pytest
 
@@ -78,6 +79,23 @@ def test_stirling_numbers():
             assert stirling1_signed(n, k) == (-1) ** (n - k) * direct
     for n in range(6):
         assert stirling1_signed(n, n) == 1
+
+
+def test_stirling_numbers_need_no_recursion():
+    # n = 2000 is deeper than the default recursion limit, so neither may
+    # recurse once per n
+    assert sys.getrecursionlimit() <= 2000
+    assert stirling2(2000, 2) == 2**1999 - 1
+    assert stirling2(2000, 1999) == comb(2000, 2)
+    assert cycle_count(2000, 1) == factorial(1999)
+    assert cycle_count(2000, 2) == sum(factorial(1999) // i for i in range(1, 2000))
+    for n in range(12):
+        for k in range(n + 3):
+            if n == 0 or k == 0 or k > n:
+                assert stirling2(n, k) == cycle_count(n, k) == (n == k == 0)
+            else:
+                assert stirling2(n, k) == k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
+                assert cycle_count(n, k) == (n - 1) * cycle_count(n - 1, k) + cycle_count(n - 1, k - 1)
 
 
 def test_partition_mobius():
