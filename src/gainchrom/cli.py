@@ -168,9 +168,21 @@ def _polynomial(
     return poly, None, poly.evaluate
 
 
-def _print_json(function: str, source: str, results: list[dict] | None, poly: Poly2 | None) -> None:
+def _json_doc(function: str, source: str, results: list[dict] | None, poly: Poly2 | None) -> str:
     polynomial = None if poly is None else poly_to_term_list(poly)
-    print(json.dumps({"function": function, "graph": source, "results": results, "polynomial": polynomial}))
+    return json.dumps({"function": function, "graph": source, "results": results, "polynomial": polynomial})
+
+
+def _print_exact(text: Callable[[], str]) -> None:
+    """Print exact answers at any length: Python's int-to-str digit limit is
+    lifted for output alone, so oversized --q and graph-file integers stay errors."""
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)  # absent before 3.10.7
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit(0)
+    try:
+        print(text())
+    finally:
+        set_limit(limit)
 
 
 def _cmd_eval(args) -> int:
@@ -182,10 +194,8 @@ def _cmd_eval(args) -> int:
     graph, forms, source = _resolve_source(args)
     if function == "regions":
         value = region_count(graph, args.max_edges)
-        if args.json:
-            _print_json(function, source, [{"q": None, "z": None, "value": value}], None)
-        else:
-            print(f"regions\t{value}")
+        rows = [{"q": None, "z": None, "value": value}]
+        _print_exact(lambda: _json_doc(function, source, rows, None) if args.json else f"regions\t{value}")
         return EXIT_OK
     qs = args.q
     if not qs:
@@ -200,11 +210,9 @@ def _cmd_eval(args) -> int:
         if min_q is not None and q < min_q:
             row["below_valid_range"] = True
         rows.append(row)
-    if args.json:
-        _print_json(function, source, rows, poly)
-    else:
-        for row in rows:
-            print(f"{row['q']}\t{row['value']}" + ("\t# below_valid_range" if row.get("below_valid_range") else ""))
+    # A generator, so the values turn into digits only inside _print_exact
+    tsv = (f"{row['q']}\t{row['value']}" + ("\t# below_valid_range" if row.get("below_valid_range") else "") for row in rows)
+    _print_exact(lambda: _json_doc(function, source, rows, poly) if args.json else "\n".join(tsv))
     return EXIT_OK
 
 
@@ -214,10 +222,7 @@ def _cmd_poly(args) -> int:
     poly, _, _ = _polynomial(function, graph, forms, args.max_edges)
     if poly is None:
         raise _usage_error(f"{function} is a closed form for families only; file graphs have no {function} polynomial")
-    if args.json:
-        _print_json(function, source, None, poly)
-    else:
-        print(format_poly(poly))
+    _print_exact(lambda: _json_doc(function, source, None, poly) if args.json else format_poly(poly))
     return EXIT_OK
 
 

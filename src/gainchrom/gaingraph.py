@@ -22,7 +22,7 @@ union-find that keeps each vertex's potential relative to its root.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from itertools import permutations
 
 Edge = tuple[int, int, int]
@@ -120,25 +120,15 @@ class _GainDSU:
 class IntegralGainGraph:
     """Multigraph on vertices 1..n with an integer gain per oriented edge."""
 
-    __slots__ = ("n", "edges", "labels")
+    __slots__ = ("n", "edges")
 
-    def __init__(
-        self,
-        n: int,
-        edges: Iterable[Sequence[int]] = (),
-        labels: Sequence[frozenset[int]] | None = None,
-    ):
+    def __init__(self, n: int, edges: Iterable[Sequence[int]] = ()):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         self.n = n
         self.edges: tuple[Edge, ...] = tuple(
             sorted(_canonical_edge(n, t, h, g) for t, h, g in edges)
         )
-        if labels is not None:
-            labels = tuple(frozenset(b) for b in labels)
-            if len(labels) != n:
-                raise ValueError("labels must cover every vertex")
-        self.labels: tuple[frozenset[int], ...] | None = labels
 
     # -- identity & serialization -------------------------------------------
 
@@ -162,12 +152,6 @@ class IntegralGainGraph:
             raise ValueError(f"expected a JSON object, got {type(data).__name__}")
         edges = data.get("edges", [])
         return cls(strict_int(data["n"]), [tuple(map(strict_int, e)) for e in edges])
-
-    def effective_labels(self) -> tuple[frozenset[int], ...]:
-        """Per-vertex provenance sets; each vertex names itself when unset."""
-        if self.labels is not None:
-            return self.labels
-        return tuple(frozenset({v}) for v in range(1, self.n + 1))
 
     # -- basic queries --------------------------------------------------------
 
@@ -252,16 +236,12 @@ class IntegralGainGraph:
             if len(eta) != self.n:
                 raise ValueError("switching sequence must list a value per vertex")
             values = [0, *eta]
-        return IntegralGainGraph(
-            self.n,
-            [(t, h, -values[t] + g + values[h]) for t, h, g in self.edges],
-            self.labels,
-        )
+        return IntegralGainGraph(self.n, [(t, h, -values[t] + g + values[h]) for t, h, g in self.edges])
 
     def delete_edges(self, indices: Iterable[int]) -> "IntegralGainGraph":
         drop = set(indices)
         keep = [e for i, e in enumerate(self.edges) if i not in drop]
-        return IntegralGainGraph(self.n, keep, self.labels)
+        return IntegralGainGraph(self.n, keep)
 
     def delete_neutral_edges(self) -> "IntegralGainGraph":
         return self.delete_edges(self.neutral_indices())
@@ -274,20 +254,15 @@ class IntegralGainGraph:
         for bi, members in enumerate(blocks, start=1):
             for v in members:
                 vmap[v] = bi
-        old_labels = self.effective_labels()
-        labels = tuple(
-            frozenset().union(*(old_labels[v - 1] for v in members)) for members in blocks
-        )
         new_edges = [
             (vmap[t], vmap[h], g) for i, (t, h, g) in enumerate(self.edges) if i not in drop
         ]
-        return IntegralGainGraph(len(blocks), new_edges, labels)
+        return IntegralGainGraph(len(blocks), new_edges)
 
     def contract_neutral_set(self, indices: Iterable[int]) -> "IntegralGainGraph":
         """Identify the components of a gain-0 edge set and remove those edges.
 
-        The contracted vertices are ordered (and named, via labels) by least
-        original vertex.
+        The contracted vertices are ordered by least original vertex.
         """
         drop = frozenset(indices)
         for i in drop:
@@ -295,31 +270,17 @@ class IntegralGainGraph:
                 raise NonNeutralEdgeInSet(f"edge {self.edges[i]} has nonzero gain")
         return self._contract_blocks(self._dsu(drop).components(), drop)
 
-    def contract_balanced_set(
-        self,
-        indices: Iterable[int],
-        root_pick: Callable[[list[int]], int] | None = None,
-    ) -> "IntegralGainGraph":
+    def contract_balanced_set(self, indices: Iterable[int]) -> "IntegralGainGraph":
         """Contract a balanced edge set by first switching it neutral.
 
-        The switching function used is the one vanishing at the minimum
-        potential of each component and nonnegative elsewhere, which makes
-        the result independent of ``root_pick`` (the vertex of each component
-        whose potential is set to 0; exposed so tests can exercise that
-        independence).
+        The switching vanishes at each component's minimum potential and is
+        nonnegative elsewhere, so the result does not depend on which vertex
+        the union-find made each component's root.
         """
-        sel = frozenset(indices)
-        dsu = self._dsu(sel)
+        indices = tuple(indices)  # union order picks the roots
+        dsu = self._dsu(indices)
         comps = dsu.components()
         pot = [dsu.find(v)[1] for v in range(self.n + 1)]
-        if root_pick is not None:
-            for members in comps:
-                root = root_pick(members)
-                if root not in members:
-                    raise ValueError("root_pick must choose a vertex of the component")
-                base = pot[root]
-                for v in members:
-                    pot[v] -= base
         if dsu.n_unbal:
             raise UnbalancedSet("edge set contains a circle with nonzero gain")
         eta = [0] * (self.n + 1)
@@ -328,7 +289,7 @@ class IntegralGainGraph:
             for v in members:
                 eta[v] = -pot[v] - low
         # Switching keeps the components, so the blocks above still hold.
-        return self.switch(eta[1:])._contract_blocks(comps, sel)
+        return self.switch(eta[1:])._contract_blocks(comps, frozenset(indices))
 
     def contract_partition(self, blocks: Iterable[Iterable[int]]) -> "IntegralGainGraph":
         """Identify each block to one vertex, keeping every edge and its gain."""
@@ -340,7 +301,7 @@ class IntegralGainGraph:
 
     def simplify(self) -> "IntegralGainGraph":
         """Keep one edge per parallel class with equal gain; loops are kept."""
-        return IntegralGainGraph(self.n, sorted(set(self.edges)), self.labels)
+        return IntegralGainGraph(self.n, sorted(set(self.edges)))
 
     def add_neutral_complete(self) -> "IntegralGainGraph":
         """Add a gain-0 link on every vertex pair that lacks one."""
@@ -351,11 +312,11 @@ class IntegralGainGraph:
             for j in range(i + 1, self.n + 1)
             if (i, j) not in present
         ]
-        return IntegralGainGraph(self.n, list(self.edges) + extra, self.labels)
+        return IntegralGainGraph(self.n, list(self.edges) + extra)
 
     def without_nonneutral_loops(self) -> "IntegralGainGraph":
         keep = [e for e in self.edges if not (e[0] == e[1] and e[2] != 0)]
-        return IntegralGainGraph(self.n, keep, self.labels)
+        return IntegralGainGraph(self.n, keep)
 
     # -- graph building helpers -------------------------------------------------
 
@@ -363,26 +324,13 @@ class IntegralGainGraph:
         """Subgraph induced by a vertex subset, relabelled 1..|W| in order."""
         verts = sorted(set(vertices))
         vmap = {v: i for i, v in enumerate(verts, start=1)}
-        old_labels = self.effective_labels()
         edges = [(vmap[t], vmap[h], g) for t, h, g in self.edges if t in vmap and h in vmap]
-        labels = tuple(old_labels[v - 1] for v in verts)
-        return IntegralGainGraph(len(verts), edges, labels)
+        return IntegralGainGraph(len(verts), edges)
 
     def disjoint_union(self, other: "IntegralGainGraph") -> "IntegralGainGraph":
         shift = self.n
         edges = list(self.edges) + [(t + shift, h + shift, g) for t, h, g in other.edges]
-        labels = None
-        if self.labels is not None or other.labels is not None:
-            labels = self.effective_labels() + other.effective_labels()
-        return IntegralGainGraph(self.n + other.n, edges, labels)
-
-    def relabel(self, perm: Mapping[int, int]) -> "IntegralGainGraph":
-        """Apply a vertex permutation (labels are reset)."""
-        if sorted(perm) != list(range(1, self.n + 1)) or sorted(perm.values()) != list(
-            range(1, self.n + 1)
-        ):
-            raise ValueError("perm must permute 1..n")
-        return IntegralGainGraph(self.n, [(perm[t], perm[h], g) for t, h, g in self.edges])
+        return IntegralGainGraph(self.n + other.n, edges)
 
     def canonical_iso_key(self) -> tuple:
         """Least relabelled edge tuple over all vertex permutations (small n only)."""

@@ -60,6 +60,7 @@ POLY_SELECTORS = ("zero_free", "total")
 # `verify --suite all --n 3` makes 19,838 oracle runs with this bound and
 # 19,551 with none; the switching sweep keeps its counts apart.
 _ORACLE_MEMO = 8192
+_SWITCHING_BOUND = 3  # random switchings take values in [-3, 3]
 
 _Combination = dict[IntegralGainGraph, int]
 
@@ -416,8 +417,8 @@ def check_multizero_agreement(
 # -- invariance suite ---------------------------------------------------------------
 
 
-def random_switching(g: IntegralGainGraph, rng: random.Random, bound: int = 3) -> dict[int, int]:
-    return {v: rng.randint(-bound, bound) for v in range(1, g.n + 1)}
+def random_switching(g: IntegralGainGraph, rng: random.Random) -> dict[int, int]:
+    return {v: rng.randint(-_SWITCHING_BOUND, _SWITCHING_BOUND) for v in range(1, g.n + 1)}
 
 
 def _describe(g: IntegralGainGraph) -> str:

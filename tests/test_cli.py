@@ -112,6 +112,54 @@ def test_eval_file_graph_integral_at_huge_q_finishes(tmp_path):
     assert proc.stdout == f"{q}\t{expected}\n"
 
 
+def _digit_limit() -> int:
+    """Python's int-to-str digit limit; 0 (none) before 3.10.7."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _past_the_limit(convert, value) -> str:
+    """convert(value) with the digit limit lifted."""
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)
+    limit = _digit_limit()
+    set_limit(0)
+    try:
+        return convert(value)
+    finally:
+        set_limit(limit)
+
+
+def test_exact_answers_longer_than_the_digit_limit_print(tmp_path, capsys):
+    limit = _digit_limit()
+    q = 10**1500
+    code, out = run_cli(capsys, "eval", "--family", "shi", "--n", "3", "--function", "integral", "--q", str(q))
+    assert code == 0
+    assert out == f"{q}\t{_past_the_limit(str, (q - 2) ** 3)}\n"
+    # an edgeless graph on 15,000 vertices has 2^15000 colourings at q = 2
+    path = tmp_path / "edgeless.json"
+    path.write_text(json.dumps({"n": 15000, "edges": []}))
+    argv = ["eval", "--graph", str(path), "--function", "integral", "--q", "2"]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == f"2\t{_past_the_limit(str, 2**15000)}\n"
+    code, out = run_cli(capsys, *argv, "--json")
+    assert code == 0
+    results = [{"q": 2, "z": None, "value": 2**15000}]
+    doc = {"function": "integral", "graph": str(path), "results": results, "polynomial": None}
+    assert out == _past_the_limit(json.dumps, doc) + "\n"
+    # the limit is lifted for the output alone
+    assert _digit_limit() == limit
+
+
+@pytest.mark.skipif(_digit_limit() == 0, reason="this Python has no int-to-str digit limit")
+def test_integers_past_the_digit_limit_stay_usage_errors(tmp_path, capsys):
+    huge = "1" + "0" * _digit_limit()
+    assert main(["eval", "--family", "shi", "--n", "3", "--function", "integral", "--q", huge]) == 2
+    path = tmp_path / "g.json"
+    path.write_text('{"n": 2, "edges": [[1, 2, %s]]}' % huge)
+    assert main(["eval", "--graph", str(path), "--function", "integral", "--q", "3"]) == 2
+    assert "cannot read graph file" in capsys.readouterr().err
+
+
 def test_cli_import_leaves_out_heavy_stdlib_modules():
     # Every CLI job is a fresh interpreter, so its import graph is part of
     # every job's time. -S keeps modules that site hooks preload out of it.

@@ -9,6 +9,7 @@ import pytest
 from gainchrom.chromatic import (
     count_integral_colorings,
     count_modular_colorings,
+    integral_count,
     region_count,
     zero_free_poly,
 )
@@ -184,6 +185,25 @@ def test_sc_path_equals_sc_partition_small():
             part_forms = sc_partition_closed_forms(pi)
             assert path_forms.integral == part_forms.integral
             assert path_forms.zero_free == part_forms.zero_free
+
+
+def test_sc_path_closed_forms_match_the_engines_for_every_graph():
+    # every labelled simple graph G on at most 4 vertices: 75 graphs
+    checked = 0
+    for n in range(1, 5):
+        pairs = list(combinations(range(1, n + 1), 2))
+        for size in range(len(pairs) + 1):
+            for chosen in combinations(pairs, size):
+                minus = SimpleGraph.from_pairs(n, chosen)
+                forms = sc_path_closed_forms(minus)
+                graph = sc_graph(minus)
+                assert forms.zero_free == zero_free_poly(graph), minus
+                for q in range(forms.integral_min_q, forms.integral_min_q + 3):
+                    assert forms.integral.evaluate(q) == integral_count(graph, q), (minus, q)
+                for q in range(forms.modular_min_q, forms.modular_min_q + 2):
+                    assert forms.modular.evaluate(q) == count_modular_colorings(graph, q), (minus, q)
+                checked += 1
+    assert checked == 75
 
 
 def test_linial_closed_forms():
