@@ -56,6 +56,9 @@ class TooManyEdges(RuntimeError):
     """Expansion refused: the graph has more edges than the configured guard."""
 
 
+DEFAULT_MAX_EDGES = 26  # every engine's edge guard unless the caller sets one
+
+
 # -- coloring oracles -----------------------------------------------------------
 
 # Tables are memoised only for colour sets up to _MEMO_COLOURS, so the memo
@@ -409,7 +412,7 @@ def _expand_subsets(
     return Poly2(((a + dq, dz), c * r) for (a, b), c in terms.items() for dq, dz, r in _q_minus_z(b))
 
 
-def total_poly(g: IntegralGainGraph | ModularGainGraph, max_edges: int = 26) -> Poly2:
+def total_poly(g: IntegralGainGraph | ModularGainGraph, max_edges: int = DEFAULT_MAX_EDGES) -> Poly2:
     """The bivariate subset-expansion polynomial; q counts balanced components,
     z the unbalanced ones.  Computed by memoised deletion-contraction, whose
     states can still grow exponentially, so guarded by max_edges.  The memo
@@ -418,7 +421,7 @@ def total_poly(g: IntegralGainGraph | ModularGainGraph, max_edges: int = 26) -> 
     return _expand_subsets(g, max_edges, balanced_only=False)
 
 
-def zero_free_poly(g: IntegralGainGraph | ModularGainGraph, max_edges: int = 26) -> Poly2:
+def zero_free_poly(g: IntegralGainGraph | ModularGainGraph, max_edges: int = DEFAULT_MAX_EDGES) -> Poly2:
     """The z = 0 slice of total_poly: the sum over balanced subsets only."""
     return _expand_subsets(g, max_edges, balanced_only=True)
 
@@ -437,7 +440,7 @@ def _integral_terms(g: IntegralGainGraph, max_edges: int) -> Terms:
     return _memoised(("integral",), _WIDTHS, read[0], (0,) * (g.n + 1))
 
 
-def integral_count(g: IntegralGainGraph, q: int, max_edges: int = 26) -> int:
+def integral_count(g: IntegralGainGraph, q: int, max_edges: int = DEFAULT_MAX_EDGES) -> int:
     """count_integral_colorings(g, q) by memoised deletion-contraction, at
     any q; guarded by max_edges like the polynomial functions."""
     if q < 0:
@@ -445,7 +448,7 @@ def integral_count(g: IntegralGainGraph, q: int, max_edges: int = 26) -> int:
     return sum(c * prod(max(0, q - w) for w in ws) for ws, c in _integral_terms(g, max_edges).items())
 
 
-def chromatic_poly(g: IntegralGainGraph | ModularGainGraph, max_edges: int = 26) -> Poly2:
+def chromatic_poly(g: IntegralGainGraph | ModularGainGraph, max_edges: int = DEFAULT_MAX_EDGES) -> Poly2:
     """The z = 1 slice of total_poly, univariate in q."""
     return total_poly(g, max_edges).substitute_z(1)
 
@@ -456,7 +459,7 @@ def ordinary_chromatic_poly(n: int, pairs: list[tuple[int, int]]) -> Poly2:
     return total_poly(IntegralGainGraph(n, [(a, b, 0) for a, b in pairs]), max_edges=len(pairs))
 
 
-def region_count(g: IntegralGainGraph, max_edges: int = 26) -> int:
+def region_count(g: IntegralGainGraph, max_edges: int = DEFAULT_MAX_EDGES) -> int:
     """(-1)^n times the zero-free polynomial at q = -1: chambers of the
     arrangement of hyperplanes x_head = x_tail + gain."""
     return (-1) ** g.n * zero_free_poly(g, max_edges).evaluate(-1, 0)

@@ -17,6 +17,7 @@ import sys
 from collections.abc import Callable
 
 from .chromatic import (
+    DEFAULT_MAX_EDGES,
     TooManyEdges,
     chromatic_poly,
     integral_count,
@@ -113,31 +114,32 @@ def _add_source_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--minus-edges", metavar="FILE", help="JSON simple graph for --family sc")
 
 
-def _resolve_source(args) -> tuple[IntegralGainGraph, Callable[[], ClosedForms] | None, str]:
-    """Build the graph, plus a builder of its closed forms when the source
-    is a family; only _polynomial calls the builder."""
+def _resolve_source(args) -> tuple[Callable[[], IntegralGainGraph], Callable[[], ClosedForms] | None, str]:
+    """Builders of the graph and, for a family, of its closed forms, called only
+    where an engine reads them; a graph file is read at once, so a bad one fails first."""
     if bool(args.graph) == bool(args.family):
         raise _usage_error("exactly one of --graph or --family is required")
     if args.graph:
-        return _load_graph_file(args.graph), None, args.graph
+        graph = _load_graph_file(args.graph)
+        return lambda: graph, None, args.graph
     name = args.family
     if name == "sc":
         if bool(args.partition) == bool(args.minus_edges):
             raise _usage_error("--family sc needs exactly one of --partition or --minus-edges")
         if args.partition:
             pi = parse_partition(args.partition)
-            return sc_partition_graph(pi), lambda: sc_partition_closed_forms(pi), f"sc({args.partition})"
+            return lambda: sc_partition_graph(pi), lambda: sc_partition_closed_forms(pi), f"sc({args.partition})"
         minus = _load_minus_edges(args.minus_edges)
         if minus.n < 1:
             raise _usage_error("graphs on at least one vertex only")
-        return sc_graph(minus), lambda: sc_path_closed_forms(minus), f"sc({args.minus_edges})"
+        return lambda: sc_graph(minus), lambda: sc_path_closed_forms(minus), f"sc({args.minus_edges})"
     if args.n is None or args.n < 1:
         raise _usage_error(f"--family {name} needs --n >= 1")
-    return FAMILY_BUILDERS[name](args.n), lambda: FAMILY_CLOSED_FORMS[name](args.n), f"{name}({args.n})"
+    return lambda: FAMILY_BUILDERS[name](args.n), lambda: FAMILY_CLOSED_FORMS[name](args.n), f"{name}({args.n})"
 
 
 def _polynomial(
-    function: str, graph: IntegralGainGraph, forms: Callable[[], ClosedForms] | None, max_edges: int
+    function: str, graph: Callable[[], IntegralGainGraph], forms: Callable[[], ClosedForms] | None, max_edges: int
 ) -> tuple[Poly2 | None, int | None, Callable[[int, int], int]]:
     """How a function of a source is evaluated: the polynomial it is read
     from (None if it has none), the least q that polynomial holds from, and
@@ -159,12 +161,13 @@ def _polynomial(
             "zero-free": (built.zero_free, None),
         }[function]
         return poly, min_q, poly.evaluate
+    g = graph()
     if function == "integral":
-        return None, None, lambda q, z: integral_count(graph, q, max_edges)
+        return None, None, lambda q, z: integral_count(g, q, max_edges)
     if function == "modular":
-        return None, None, lambda q, z: zero_free_poly(graph.reduce_mod(q), max_edges).evaluate(q, 0)
+        return None, None, lambda q, z: zero_free_poly(g.reduce_mod(q), max_edges).evaluate(q, 0)
     engine = {"zero-free": zero_free_poly, "chromatic": chromatic_poly, "total": total_poly}[function]
-    poly = engine(graph, max_edges)
+    poly = engine(g, max_edges)
     return poly, None, poly.evaluate
 
 
@@ -193,7 +196,7 @@ def _cmd_eval(args) -> int:
         raise _usage_error("--function regions takes no --q")
     graph, forms, source = _resolve_source(args)
     if function == "regions":
-        value = region_count(graph, args.max_edges)
+        value = region_count(graph(), args.max_edges)
         rows = [{"q": None, "z": None, "value": value}]
         _print_exact(lambda: _json_doc(function, source, rows, None) if args.json else f"regions\t{value}")
         return EXIT_OK
@@ -228,7 +231,7 @@ def _cmd_poly(args) -> int:
 
 def _cmd_regions(args) -> int:
     graph, _, _ = _resolve_source(args)
-    print(region_count(graph, args.max_edges))
+    print(region_count(graph(), args.max_edges))
     return EXIT_OK
 
 
@@ -297,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--q", type=int, action="append", help="evaluation point (repeatable)")
     p_eval.add_argument("--z", type=int, help="z value for --function total, default 1")
     p_eval.add_argument("--json", action="store_true")
-    p_eval.add_argument("--max-edges", type=_nonnegative, default=26, help="deletion-contraction edge guard")
     p_eval.set_defaults(run=_cmd_eval)
 
     p_poly = sub.add_parser("poly", help="print a chromatic polynomial")
@@ -308,12 +310,10 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["integral", "modular", "zero-free", "chromatic", "total"],
     )
     p_poly.add_argument("--json", action="store_true")
-    p_poly.add_argument("--max-edges", type=_nonnegative, default=26, help="deletion-contraction edge guard")
     p_poly.set_defaults(run=_cmd_poly)
 
     p_regions = sub.add_parser("regions", help="count the regions of the arrangement")
     _add_source_args(p_regions)
-    p_regions.add_argument("--max-edges", type=_nonnegative, default=26, help="deletion-contraction edge guard")
     p_regions.set_defaults(run=_cmd_regions)
 
     p_verify = sub.add_parser("verify", help="run identity verification suites")
@@ -332,8 +332,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--graph", metavar="FILE", help="verify this graph instead of the corpus")
     p_verify.add_argument("--switchings", type=_nonnegative, default=25, help="random switchings per graph")
     p_verify.add_argument("--json", action="store_true")
-    p_verify.add_argument("--max-edges", type=_nonnegative, default=26, help="deletion-contraction edge guard")
     p_verify.set_defaults(run=_cmd_verify)
+
+    for p in (p_eval, p_poly, p_regions, p_verify):
+        p.add_argument("--max-edges", type=_nonnegative, default=DEFAULT_MAX_EDGES, help="deletion-contraction edge guard")
 
     p_lds = sub.add_parser("lds", help="lower degree sequences of overlap graphs")
     p_lds.add_argument("action", choices=["realize", "check"])

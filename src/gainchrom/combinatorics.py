@@ -8,7 +8,7 @@ iteration is deterministic.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from itertools import combinations
 from math import comb, factorial, prod
 
@@ -21,28 +21,40 @@ class InvalidSequence(ValueError):
     """Raised when a degree sequence fails the realizability shape conditions."""
 
 
-def set_partitions(n: int) -> Iterator[SetPartition]:
-    """All partitions of [n], blocks ordered by least element; Bell(n) of them."""
+def _partitions(n: int, fits: Callable[[list[int], int], bool]) -> Iterator[SetPartition]:
+    """Partitions of [n] in restricted-growth order, where element i joins an
+    earlier block only if ``fits(block, i)`` and may always open a new one.
+    home[i] is the block index that i takes next; one past the last is new."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n == 0:
-        yield ()
-        return
-    blocks: list[list[int]] = [[] for _ in range(n)]
-
-    def rec(i: int, nblocks: int) -> Iterator[SetPartition]:
+    blocks: list[list[int]] = []
+    home = [0] * (n + 2)
+    i = 1
+    while i:
         if i > n:
-            yield tuple(tuple(b) for b in blocks[:nblocks])
-            return
-        for b in range(nblocks):
-            blocks[b].append(i)
-            yield from rec(i + 1, nblocks)
-            blocks[b].pop()
-        blocks[nblocks].append(i)
-        yield from rec(i + 1, nblocks + 1)
-        blocks[nblocks].pop()
+            yield tuple(map(tuple, blocks))
+        else:
+            b = home[i]
+            while b < len(blocks) and not fits(blocks[b], i):
+                b += 1
+            if b <= len(blocks):
+                if b == len(blocks):
+                    blocks.append([])
+                blocks[b].append(i)
+                home[i], home[i + 1] = b + 1, 0
+                i += 1
+                continue
+        i -= 1  # every choice for i is spent: take back i - 1
+        if i:
+            block = blocks[home[i] - 1]
+            block.pop()
+            if not block:
+                blocks.pop()
 
-    yield from rec(1, 0)
+
+def set_partitions(n: int) -> Iterator[SetPartition]:
+    """All partitions of [n], blocks ordered by least element; Bell(n) of them."""
+    yield from _partitions(n, lambda block, i: True)
 
 
 def normalize_partition(blocks: Iterable[Iterable[int]]) -> SetPartition:
@@ -171,19 +183,12 @@ def stable_partitions(n: int, pairs: Iterable[tuple[int, int]]) -> Iterator[SetP
     Accepts multigraph pairs; a loop makes every block containing its vertex
     unstable, so a loopy graph has no stable partitions.
     """
-    edgeset = set()
+    below: dict[int, set[int]] = {}  # the lesser ends of the pairs at each vertex
     for a, b in pairs:
         if a == b:
             return
-        edgeset.add((min(a, b), max(a, b)))
-    for pi in set_partitions(n):
-        if all(
-            (block[i], block[j]) not in edgeset
-            for block in pi
-            for i in range(len(block))
-            for j in range(i + 1, len(block))
-        ):
-            yield pi
+        below.setdefault(max(a, b), set()).add(min(a, b))
+    yield from _partitions(n, lambda block, i: i not in below or below[i].isdisjoint(block))
 
 
 # -- descending paths and overlap graphs ---------------------------------------
@@ -195,20 +200,9 @@ def descending_path_partitions(g: SimpleGraph) -> list[int]:
     A block qualifies iff its elements in decreasing order form a path; a
     singleton always qualifies.  Index 0 is used only for n = 0.
     """
-    feasible: dict[tuple[int, ...], bool] = {}
-
-    def block_ok(block: tuple[int, ...]) -> bool:
-        cached = feasible.get(block)
-        if cached is None:
-            desc = sorted(block, reverse=True)
-            cached = all(g.has_edge(desc[i], desc[i + 1]) for i in range(len(desc) - 1))
-            feasible[block] = cached
-        return cached
-
     counts = [0] * (g.n + 1)
-    for pi in set_partitions(g.n):
-        if all(block_ok(b) for b in pi):
-            counts[len(pi)] += 1
+    for pi in _partitions(g.n, lambda block, i: g.has_edge(i, block[-1])):
+        counts[len(pi)] += 1
     return counts
 
 
@@ -281,15 +275,11 @@ def realize_lds(d: tuple[int, ...]) -> SetPartition:
         t[i] = t[i - 1] + (1 if i in asc else 0)
     dd = list(d) + [0]  # dd[i] = d_{i+1}; trailing 0 is d_{k+1}
 
-    def m_of(i: int) -> int:
-        j = i
-        while dd[j] > dd[i - 1]:  # compare d_{j+1} with d_i
-            j += 1
-        return j
-
     blocks = []
     for i in range(1, k + 1):
-        mi = m_of(i)
+        mi = i
+        while dd[mi] > dd[i - 1]:  # compare d_{mi+1} with d_i
+            mi += 1
         a = i + t[i - 1] - d[i - 1]
         b = mi + t[mi] - d[i - 1]
         blocks.append({a, b})

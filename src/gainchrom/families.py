@@ -31,7 +31,7 @@ from .combinatorics import (
     set_partitions,
     stirling2,
 )
-from .chromatic import region_count
+from .chromatic import DEFAULT_MAX_EDGES, region_count
 from .gaingraph import IntegralGainGraph
 from .poly import ONE, Poly2, Q, falling_factorial
 
@@ -223,7 +223,7 @@ class RegionCounts(namedtuple("RegionCounts", "direct via_recurrence hollow")):
     __slots__ = ()
 
 
-def catalan_region_counts(n: int, max_edges: int = 26) -> RegionCounts:
+def catalan_region_counts(n: int, max_edges: int = DEFAULT_MAX_EDGES) -> RegionCounts:
     if n < 1:
         raise ValueError("n must be >= 1")
     hollow = tuple(region_count(hollow_catalan_graph(j), max_edges) for j in range(1, n + 1))

@@ -187,40 +187,32 @@ class IntegralGainGraph:
         return dsu.n_comp, dsu.n_comp - dsu.n_unbal
 
     def max_circle_gain(self) -> int | None:
-        """Largest |gain| over all circles (loops, digons, longer cycles); None if acyclic."""
-        best: int | None = None
-
-        def consider(value: int) -> None:
-            nonlocal best
-            if best is None or value > best:
-                best = value
-
-        adjacency: dict[int, list[tuple[int, int, int]]] = {v: [] for v in range(1, self.n + 1)}
+        """Largest |gain| over all circles (loops, digons, longer cycles); None if
+        acyclic.  Each circle is walked from its least vertex on an explicit stack."""
+        best = -1
+        adjacency: list[list[tuple[int, int, int]]] = [[] for _ in range(self.n + 1)]
         for i, (t, h, g) in enumerate(self.edges):
-            if t == h:
-                consider(abs(g))
-            else:
-                adjacency[t].append((h, g, i))
-                adjacency[h].append((t, -g, i))
-
+            adjacency[t].append((h, g, i))
+            adjacency[h].append((t, -g, i))
         on_path = [False] * (self.n + 1)
-
-        def extend(start: int, v: int, gain: int, used: set[int], depth: int) -> None:
-            for w, gw, ei in adjacency[v]:
-                if ei in used:
-                    continue
-                if w == start and depth >= 1:
-                    consider(abs(gain + gw))
-                elif w > start and not on_path[w]:
-                    on_path[w] = True
-                    used.add(ei)
-                    extend(start, w, gain + gw, used, depth + 1)
-                    used.discard(ei)
-                    on_path[w] = False
-
         for start in range(1, self.n + 1):
-            extend(start, start, 0, set(), 0)
-        return best
+            # (vertex, gain from start, edge in, edges out); a loop at start closes at once
+            stack = [(start, 0, -1, iter(adjacency[start]))]
+            while stack:
+                v, gain, edge_in, out = stack[-1]
+                for w, gw, ei in out:
+                    if ei == edge_in:
+                        continue
+                    if w == start:
+                        best = max(best, abs(gain + gw))
+                    elif w > start and not on_path[w]:
+                        on_path[w] = True
+                        stack.append((w, gain + gw, ei, iter(adjacency[w])))
+                        break
+                else:
+                    on_path[v] = False
+                    stack.pop()
+        return None if best < 0 else best
 
     # -- rewriting operations --------------------------------------------------
 

@@ -27,6 +27,7 @@ from math import comb
 from types import SimpleNamespace
 
 from .chromatic import (
+    DEFAULT_MAX_EDGES,
     count_integral_colorings,
     count_modular_colorings,
     count_multizero_colorings,
@@ -224,7 +225,7 @@ def check_neutral_subset_reduction(
     g: IntegralGainGraph,
     selector: str,
     sample_q: Sequence[int] | None = None,
-    max_edges: int = 26,
+    max_edges: int = DEFAULT_MAX_EDGES,
 ) -> CheckReport:
     """F(graph) == alternating sum over gain-0 subsets S of F((graph/S) minus
     all gain-0 edges), and the same sum grouped over flats with Mobius weights.
@@ -249,7 +250,7 @@ def check_stable_partition_reduction(
     g: IntegralGainGraph,
     selector: str,
     sample_q: Sequence[int] | None = None,
-    max_edges: int = 26,
+    max_edges: int = DEFAULT_MAX_EDGES,
 ) -> CheckReport:
     """F(graph) == sum over stable partitions pi of the gain-0 subgraph of
     F(graph/pi with the complete gain-0 graph added)."""
@@ -268,7 +269,7 @@ def check_partition_complete_reduction(
     g: IntegralGainGraph,
     selector: str,
     sample_q: Sequence[int] | None = None,
-    max_edges: int = 26,
+    max_edges: int = DEFAULT_MAX_EDGES,
 ) -> CheckReport:
     """For graphs without gain-0 edges: F(graph + complete gain-0 part) ==
     Mobius-weighted sum of F(graph/pi), and F(graph) == sum of
@@ -311,7 +312,7 @@ def check_linial_partition_expansion(
     n: int,
     selector: str,
     sample_q: Sequence[int] | None = None,
-    max_edges: int = 26,
+    max_edges: int = DEFAULT_MAX_EDGES,
 ) -> CheckReport:
     """F(linial_n) == sum over partitions pi of [n] of F(sc(overlap graph of pi)).
 
@@ -346,7 +347,7 @@ def _vertex_split(g: IntegralGainGraph, outside: Callable[[list[int]], Poly2], m
     return total
 
 
-def check_total_split(g: IntegralGainGraph, max_edges: int = 26) -> CheckReport:
+def check_total_split(g: IntegralGainGraph, max_edges: int = DEFAULT_MAX_EDGES) -> CheckReport:
     """total(q, z) == sum over vertex subsets W of
     ordinary_chromatic(underlying graph on V-W)(z) * zero_free(g|W)(q - z)."""
 
@@ -357,7 +358,7 @@ def check_total_split(g: IntegralGainGraph, max_edges: int = 26) -> CheckReport:
     return _report("total-split", _describe(g), total_poly(g, max_edges), rhs)
 
 
-def check_total_uniform(family: str, n: int, max_edges: int = 26) -> CheckReport:
+def check_total_uniform(family: str, n: int, max_edges: int = DEFAULT_MAX_EDGES) -> CheckReport:
     """For the uniform complete families: total(q, z) expands over induced
     subgraphs both by order (binomial * falling factorial coefficients) and
     by explicit vertex subsets."""
@@ -377,7 +378,7 @@ def check_total_uniform(family: str, n: int, max_edges: int = 26) -> CheckReport
 
 
 def check_disjoint_union_product(
-    g1: IntegralGainGraph, g2: IntegralGainGraph, max_edges: int = 26
+    g1: IntegralGainGraph, g2: IntegralGainGraph, max_edges: int = DEFAULT_MAX_EDGES
 ) -> CheckReport:
     """total(g1 + g2) == total(g1) * total(g2) for disjoint unions."""
     lhs = total_poly(g1.disjoint_union(g2), max_edges)
@@ -388,7 +389,7 @@ def check_disjoint_union_product(
 # -- modular threshold and multi-zero agreement ----------------------------------------
 
 
-def check_modular_threshold(g: IntegralGainGraph, span: int = 4, max_edges: int = 26) -> CheckReport:
+def check_modular_threshold(g: IntegralGainGraph, span: int = 4, max_edges: int = DEFAULT_MAX_EDGES) -> CheckReport:
     """Modular counts equal the zero-free polynomial for q above the largest
     circle gain.  The value at the threshold itself is recorded, not asserted."""
     top = g.max_circle_gain()
@@ -403,7 +404,7 @@ def check_modular_threshold(g: IntegralGainGraph, span: int = 4, max_edges: int 
 
 
 def check_multizero_agreement(
-    g: IntegralGainGraph, modulus: int, k: int, z: int, max_edges: int = 26
+    g: IntegralGainGraph, modulus: int, k: int, z: int, max_edges: int = DEFAULT_MAX_EDGES
 ) -> CheckReport:
     """Multi-zero coloration count of g mod m equals the total polynomial of
     g mod m evaluated at (k*m + z, z)."""
@@ -458,7 +459,7 @@ def run_invariance_suite(
     switchings: int = 100,
     seed: int = 0,
     union_samples: int = 50,
-    max_edges: int = 26,
+    max_edges: int = DEFAULT_MAX_EDGES,
 ) -> list[CheckReport]:
     """Property sweep over a corpus: switching invariance of the modular,
     zero-free, and total functions (with the integral non-invariance witness),

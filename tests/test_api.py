@@ -1,6 +1,10 @@
-"""The public API: the names ``import gainchrom`` exports."""
+"""The public API: the names ``import gainchrom`` exports, and rules every module keeps."""
 
 from __future__ import annotations
+
+import ast
+from collections.abc import Iterator
+from pathlib import Path
 
 import gainchrom
 
@@ -27,3 +31,34 @@ def test_exported_names_are_pinned():
         "shi_closed_forms", "shi_graph", "stable_partitions", "stirling1_signed", "stirling2",
         "total_poly", "zero_free_poly",
     ]
+
+
+def _self_calls(tree: ast.AST, scope: str = "") -> Iterator[str]:
+    """Qualified names of the functions under ``tree`` that call themselves by
+    name or through ``self.``/``cls.``."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for call in ast.walk(node):
+                if not isinstance(call, ast.Call):
+                    continue
+                f = call.func
+                if (isinstance(f, ast.Name) and f.id == node.name) or (
+                    isinstance(f, ast.Attribute)
+                    and f.attr == node.name
+                    and isinstance(f.value, ast.Name)
+                    and f.value.id in ("self", "cls")
+                ):
+                    yield f"{scope}{node.name}"
+                    break
+        yield from _self_calls(node, f"{scope}{node.name}." if hasattr(node, "name") else scope)
+
+
+def test_no_function_in_the_package_recurses():
+    # deep inputs must not depend on the interpreter's recursion limit
+    package = Path(gainchrom.__file__).parent
+    found = [
+        f"{path.name}:{name}"
+        for path in sorted(package.glob("*.py"))
+        for name in _self_calls(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == []

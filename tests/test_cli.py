@@ -282,6 +282,32 @@ def test_regions_build_no_closed_forms(monkeypatch, capsys, source, regions):
     assert run_cli(capsys, "eval", "--function", "regions", *source) == (0, f"regions\t{regions}\n")
 
 
+def test_closed_forms_build_no_graph(tmp_path, monkeypatch, capsys):
+    # a family's integral, modular and zero-free functions are read from its closed forms alone
+    k20 = tmp_path / "k20.json"
+    k20.write_text(json.dumps({"n": 20, "edges": [[i, j] for i in range(1, 21) for j in range(i + 1, 21)]}))
+    commands = [
+        [command, "--function", function, *q, *source]
+        for source in (
+            ["--family", "shi", "--n", "40"],
+            ["--family", "sc", "--partition", "1 3|2 5|4 6"],
+            ["--family", "sc", "--minus-edges", str(k20)],
+        )
+        for function in ("integral", "modular", "zero-free")
+        for command, q in (("eval", ["--q", "40"]), ("poly", []))
+    ]
+    expected = [run_cli(capsys, *argv) for argv in commands]
+    assert all(code == 0 and out for code, out in expected)
+
+    def refuse(*_):
+        raise AssertionError("graph built for a closed form")
+
+    monkeypatch.setattr("gainchrom.cli.FAMILY_BUILDERS", {"shi": refuse})
+    monkeypatch.setattr("gainchrom.cli.sc_graph", refuse)
+    monkeypatch.setattr("gainchrom.cli.sc_partition_graph", refuse)
+    assert [run_cli(capsys, *argv) for argv in commands] == expected
+
+
 @pytest.mark.parametrize(
     "argv",
     [["regions"], ["eval", "--function", "regions"], ["poly", "--function", "chromatic"],

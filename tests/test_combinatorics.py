@@ -177,6 +177,34 @@ def test_stable_partitions():
     assert list(stable_partitions(3, [(1, 2), (1, 3), (2, 3)])) == [((1,), (2,), (3,))]
     assert list(stable_partitions(3, [(1, 2), (2, 3)])) == [((1, 3), (2,)), ((1,), (2,), (3,))]
     assert list(stable_partitions(2, [(1, 1)])) == []
+    # a path deeper than the recursion limit: its first stable partition is odds | evens
+    first = next(stable_partitions(1200, [(i, i + 1) for i in range(1, 1200)]))
+    assert first == (tuple(range(1, 1201, 2)), tuple(range(2, 1201, 2)))
+
+
+def test_pruned_partition_walks_match_filtered_set_partitions():
+    # every labelled simple graph on at most 5 vertices, against filters of all Bell(n) partitions
+    def stable(pi, edges):
+        return not any((a, b) in edges for block in pi for a, b in combinations(block, 2))
+
+    def descending_paths(pi, edges):
+        return all((a, b) in edges for block in pi for a, b in zip(block, block[1:]))
+
+    checked = 0
+    for n in range(6):
+        pairs = list(combinations(range(1, n + 1), 2))
+        for size in range(len(pairs) + 1):
+            for chosen in combinations(pairs, size):
+                edges = set(chosen)
+                everything = list(set_partitions(n))
+                assert list(stable_partitions(n, chosen)) == [pi for pi in everything if stable(pi, edges)]
+                counts = [0] * (n + 1)
+                for pi in everything:
+                    if descending_paths(pi, edges):
+                        counts[len(pi)] += 1
+                assert descending_path_partitions(SimpleGraph.from_pairs(n, chosen)) == counts
+                checked += 1
+    assert checked == 1100
 
 
 def test_descending_path_partitions():

@@ -140,8 +140,9 @@ def test_sc_path_closed_forms():
         edgeless = SimpleGraph.from_pairs(n, [])
         assert sc_path_closed_forms(edgeless).integral == shi_closed_forms(n).integral
         assert sc_path_closed_forms(edgeless).zero_free == shi_closed_forms(n).zero_free
-    # complete minus graph collapses to the catalan forms
-    for n in range(1, 5):
+    # complete minus graph collapses to the catalan forms, at n = 150 with one
+    # descending-path partition among Bell(150)
+    for n in (1, 2, 3, 4, 150):
         complete = SimpleGraph.from_pairs(n, [(i, j) for i, j in combinations(range(1, n + 1), 2)])
         assert sc_path_closed_forms(complete).integral == catalan_closed_forms(n).integral
         assert sc_path_closed_forms(complete).zero_free == catalan_closed_forms(n).zero_free

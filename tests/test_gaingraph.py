@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -257,6 +258,15 @@ def test_max_circle_gain_families():
     assert brute_max_circle_gain(linial_graph(3)) == 1
     assert shi_graph(3).max_circle_gain() == 2
     assert IntegralGainGraph(1, [(1, 1, 9)]).max_circle_gain() == 9
+    # a path longer than the recursion limit, alone and closed by a chord
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        path = [(i, i + 1, 1) for i in range(1, 300)]
+        assert IntegralGainGraph(300, path).max_circle_gain() is None
+        assert IntegralGainGraph(300, [*path, (1, 300, 5)]).max_circle_gain() == 299 - 5
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_induced_and_disjoint_union():
