@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterator
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import comb, prod
 
 from .gaingraph import IntegralGainGraph, ModularGainGraph, _GainDSU
@@ -223,22 +223,21 @@ def count_multizero_colorings(g: ModularGainGraph, k: int, z: int) -> int:
 # cancel, and one flag stands for any number of nonzero loops at a vertex.  A
 # memo key has a link at n, or is the empty state.  Terms map a monomial to
 # its coefficient: (a, b) for q^a (q - z)^b, or the sorted widths of a product
-# of max(0, q - w) factors; the empty tuple is the empty product of either.
+# of max(0, q - w) factors.
 Terms = dict[tuple[int, ...], int]
 _EMPTY = (0, frozenset(), (False,))
 
 
 def _link(t: int, h: int, gain: int, modulus: int | None) -> tuple[int, int, int]:
-    if t > h:
-        t, h, gain = h, t, -gain
+    """The link (t, h, gain) with its gain reduced; every caller has t < h."""
     return (t, h, gain % modulus if modulus is not None else gain)
 
 
-def _flag_merge(loops: bool, f_t: bool, f_n: bool, gain: int, looped: bool) -> tuple[bool, int]:
+def _flag_merge(f_t: bool, f_n: bool, gain: int, looped: bool) -> tuple[bool, int]:
     """t stays put and takes n's flag.  A later link (t, n, g') becomes a loop
     at t of gain g' - g, nonzero since the link set holds each gain once: a
-    contracted circle, which flags t when ``loops`` keeps nonzero loops."""
-    return f_t or f_n or (looped and loops), 0
+    contracted circle, which flags t when the rule keeps nonzero loops."""
+    return f_t or f_n or looped, 0
 
 
 def _width_merge(w_t: int, w_n: int, gain: int, looped: bool) -> tuple[int, int]:
@@ -251,12 +250,7 @@ def _width_merge(w_t: int, w_n: int, gain: int, looped: bool) -> tuple[int, int]
 def _peel_flags(terms: Terms, flags: tuple[bool, ...]) -> Terms:
     """terms times q for each unflagged vertex and q - z for each flagged one."""
     flagged = sum(flags)
-    unflagged = len(flags) - flagged
-    out: Terms = {}
-    for m, c in terms.items():
-        a, b = m or (0, 0)  # () is the empty state's seed
-        out[a + unflagged, b + flagged] = c
-    return out
+    return {(a + len(flags) - flagged, b + flagged): c for (a, b), c in terms.items()}
 
 
 def _peel_widths(terms: Terms, widths: tuple[int, ...]) -> Terms:
@@ -264,10 +258,12 @@ def _peel_widths(terms: Terms, widths: tuple[int, ...]) -> Terms:
     return {tuple(sorted(ws + widths)): c for ws, c in terms.items()}
 
 
-# One engine: the modulus of its gains, whether _state switches, how a
-# contraction merges two labels and how terms take on peeled labels.
-_Rule = namedtuple("_Rule", "modulus switch merge peel")
-_WIDTHS = _Rule(None, False, _width_merge, _peel_widths)
+# One engine: the modulus of its gains, whether _state switches, whether
+# nonzero loops and contracted circles flag their vertex, how a contraction
+# merges two labels, how terms take on peeled labels, a vertex's first label
+# and the empty product.
+_Rule = namedtuple("_Rule", "modulus switch loops merge peel label unit")
+_WIDTHS = _Rule(None, False, False, _width_merge, _peel_widths, 0, ())
 
 
 def _state(links: frozenset, labels: tuple, rule: _Rule) -> tuple:
@@ -302,13 +298,13 @@ def _children(key: tuple, rule: _Rule) -> list[tuple[int, tuple, tuple]]:
     (x, t, g' - g + lo), or a loop at t when x == t.
     """
     n, links, labels = key
-    modulus, _, merge, _ = rule
+    modulus, _, loops, merge, _, _, _ = rule
     at_top = sorted((e for e in links if e[1] == n), reverse=True)
     rest = links.difference(at_top)
     children = [(1, *_state(rest, labels, rule))]
     for i, (t, _, gain) in enumerate(at_top):
-        later = at_top[i + 1 :]  # sorted, so a later link at t comes first
-        label, lo = merge(labels[t], labels[n], gain, bool(later) and later[0][0] == t)
+        later = at_top[i + 1 :]  # sorted by descending tail, so a later link at t comes first
+        label, lo = merge(labels[t], labels[n], gain, loops and bool(later) and later[0][0] == t)
         merged = {(a, b, g + lo if b == t else g - lo if a == t else g) for a, b, g in rest} if lo else set(rest)
         merged.update(_link(x, t, other - gain + lo, modulus) for x, _, other in later if x != t)
         new_labels = labels[:t] + (label,) + labels[t + 1 : n]
@@ -345,46 +341,42 @@ def _solve(key: tuple, rule: _Rule, memo: dict) -> Terms:
     return memo[key]
 
 
-# One memo per (modulus, loops) and one for the integral count, shared by
-# every call.  A call that leaves more than _MEMO_STATES states in them (each
-# memo counting as one state itself) clears them all, so the memos hold at
-# most that many between calls.  Values are shared between calls and never
-# mutated.
+# One memo per rule, keyed by the rule itself and shared by every call.  A
+# call that leaves more than _MEMO_STATES states in them (each memo counting
+# as one state itself) clears them all, so the memos hold at most that many
+# between calls.  Values are shared between calls and never mutated.
 _MEMO_STATES = 4096
-_memos: dict[tuple, dict] = {}
+_memos: dict[_Rule, dict] = {}
 
 
-def _memoised(name: tuple, rule: _Rule, links: frozenset, labels: tuple) -> Terms:
-    """The terms of the graph (links, labels) under ``rule``, in the memo ``name``."""
-    memo = _memos.setdefault(name, {_EMPTY: {(): 1}})
-    peeled, key = _state(links, labels, rule)
-    try:
-        terms = _solve(key, rule, memo)
-        # the seed is peeled even bare, so that the flags read () as (0, 0)
-        return rule.peel(terms, peeled) if peeled or key is _EMPTY else terms
-    finally:
-        if len(_memos) + sum(map(len, _memos.values())) > _MEMO_STATES:
-            _memos.clear()
-
-
-def _read(
-    g: IntegralGainGraph | ModularGainGraph, max_edges: int, loops: bool
-) -> tuple[frozenset, tuple[bool, ...]] | None:
-    """The links of g and, with ``loops``, the flags of its nonzero loops,
-    which are otherwise dropped; None when a gain-0 loop makes every sum
-    vanish.  The one edge guard of every deletion-contraction."""
+def _guard(g: IntegralGainGraph | ModularGainGraph, max_edges: int) -> None:
+    """The one edge guard of every deletion-contraction."""
     if len(g.edges) > max_edges:
         raise TooManyEdges(f"{len(g.edges)} edges exceed the expansion bound {max_edges}")
+
+
+def _terms(g: IntegralGainGraph | ModularGainGraph, max_edges: int, rule: _Rule) -> Terms:
+    """The terms of g under ``rule``, in the rule's memo: {} when a gain-0
+    loop makes every sum vanish.  A nonzero loop flags its vertex when
+    ``rule.loops`` holds and is dropped otherwise."""
+    _guard(g, max_edges)
     links = set()
-    flags = [False] * (g.n + 1)
+    labels = [rule.label] * (g.n + 1)
     for t, h, gain in g.edges:
         if t != h:
             links.add((t, h, gain))
         elif gain == 0:
-            return None
-        elif loops:
-            flags[t] = True
-    return frozenset(links), tuple(flags)
+            return {}
+        elif rule.loops:
+            labels[t] = True
+    memo = _memos.setdefault(rule, {_EMPTY: {rule.unit: 1}})
+    peeled, key = _state(frozenset(links), tuple(labels), rule)
+    try:
+        terms = _solve(key, rule, memo)
+        return rule.peel(terms, peeled) if peeled else terms
+    finally:
+        if len(_memos) + sum(map(len, _memos.values())) > _MEMO_STATES:
+            _memos.clear()
 
 
 @lru_cache(maxsize=64)
@@ -402,13 +394,8 @@ def _expand_subsets(
     With ``balanced_only`` the nonzero loops are dropped, since no balanced
     subset holds one.
     """
-    loops = not balanced_only
-    read = _read(g, max_edges, loops)
-    if read is None:
-        return Poly2()
-    modulus = getattr(g, "modulus", None)
-    rule = _Rule(modulus, True, partial(_flag_merge, loops), _peel_flags)
-    terms = _memoised((modulus, loops), rule, *read)
+    rule = _Rule(getattr(g, "modulus", None), True, not balanced_only, _flag_merge, _peel_flags, False, (0, 0))
+    terms = _terms(g, max_edges, rule)
     return Poly2(((a + dq, dz), c * r) for (a, b), c in terms.items() for dq, dz, r in _q_minus_z(b))
 
 
@@ -434,10 +421,7 @@ def _integral_terms(g: IntegralGainGraph, max_edges: int) -> Terms:
     colouring.  The sum is exact at every q >= 0, and a polynomial in q from
     the largest width on.
     """
-    read = _read(g, max_edges, loops=False)
-    if read is None:
-        return {}
-    return _memoised(("integral",), _WIDTHS, read[0], (0,) * (g.n + 1))
+    return _terms(g, max_edges, _WIDTHS)
 
 
 def integral_count(g: IntegralGainGraph, q: int, max_edges: int = DEFAULT_MAX_EDGES) -> int:

@@ -231,7 +231,8 @@ def _cmd_poly(args) -> int:
 
 def _cmd_regions(args) -> int:
     graph, _, _ = _resolve_source(args)
-    print(region_count(graph(), args.max_edges))
+    value = region_count(graph(), args.max_edges)
+    _print_exact(lambda: str(value))
     return EXIT_OK
 
 

@@ -28,6 +28,7 @@ from types import SimpleNamespace
 
 from .chromatic import (
     DEFAULT_MAX_EDGES,
+    _guard,
     count_integral_colorings,
     count_modular_colorings,
     count_multizero_colorings,
@@ -253,7 +254,11 @@ def check_stable_partition_reduction(
     max_edges: int = DEFAULT_MAX_EDGES,
 ) -> CheckReport:
     """F(graph) == sum over stable partitions pi of the gain-0 subgraph of
-    F(graph/pi with the complete gain-0 graph added)."""
+    F(graph/pi with the complete gain-0 graph added).  Unless a gain-0 loop
+    leaves no stable partition, the sum holds graph + K, which is refused
+    at once when over max_edges, before any partition is walked."""
+    if not g.has_neutral_loop():
+        _guard(g.add_neutral_complete(), max_edges)
     sq = list(sample_q if sample_q is not None else default_sample_q(g.n))
     neutral_pairs = [(t, h) for t, h, gain in g.edges if gain == 0]
     minors = _combine(
@@ -273,9 +278,11 @@ def check_partition_complete_reduction(
 ) -> CheckReport:
     """For graphs without gain-0 edges: F(graph + complete gain-0 part) ==
     Mobius-weighted sum of F(graph/pi), and F(graph) == sum of
-    F((graph/pi) + complete gain-0 part), over all partitions pi."""
+    F((graph/pi) + complete gain-0 part), over all partitions pi.  The
+    graph + complete part is refused at once when over max_edges."""
     if g.neutral_indices():
         raise NeutralEdgePresent("the complete-graph reduction needs a gain-0-free graph")
+    _guard(g.add_neutral_complete(), max_edges)
     sq = list(sample_q if sample_q is not None else default_sample_q(g.n))
     contracted = [(g.contract_partition(pi), partition_mobius(pi)) for pi in set_partitions(g.n)]
     sides = [

@@ -336,8 +336,12 @@ def test_memoised_terms_store_no_zero_coefficient():
     from gainchrom import chromatic
 
     chromatic._memos.clear()
-    total_poly(catalan_graph(4))
-    integral_count(shi_graph(4), 5)
+    # one memo per engine rule: repeats and equal rules share it
+    for _ in range(2):
+        total_poly(catalan_graph(4))
+        integral_count(shi_graph(4), 5)
+        zero_free_poly(catalan_graph(4))
+        total_poly(catalan_graph(4).reduce_mod(3))
     values = [terms for memo in chromatic._memos.values() for terms in memo.values()]
-    assert len(chromatic._memos) == 2 and len(values) > 20
+    assert len(chromatic._memos) == 4 and len(values) > 20
     assert all(0 not in terms.values() for terms in values)

@@ -13,9 +13,10 @@ from pathlib import Path
 import pytest
 
 import gainchrom
+from gainchrom import identities
 from gainchrom.chromatic import count_integral_colorings, count_modular_colorings
 from gainchrom.cli import main, parse_partition
-from gainchrom.families import linial_closed_forms
+from gainchrom.families import hollow_catalan_graph, linial_closed_forms
 from gainchrom.gaingraph import IntegralGainGraph
 from gainchrom.poly import parse_poly, poly_from_term_list
 
@@ -147,6 +148,15 @@ def test_exact_answers_longer_than_the_digit_limit_print(tmp_path, capsys):
     doc = {"function": "integral", "graph": str(path), "results": results, "polynomial": None}
     assert out == _past_the_limit(json.dumps, doc) + "\n"
     # the limit is lifted for the output alone
+    assert _digit_limit() == limit
+
+
+def test_regions_prints_exact_answers_past_the_digit_limit(monkeypatch, capsys):
+    limit = _digit_limit()
+    monkeypatch.setattr("gainchrom.cli.region_count", lambda g, max_edges: 10**5000)
+    code, out = run_cli(capsys, "regions", "--family", "shi", "--n", "2")
+    assert code == 0
+    assert out == _past_the_limit(str, 10**5000) + "\n" and len(out) == 5002
     assert _digit_limit() == limit
 
 
@@ -359,6 +369,56 @@ def test_verify_graph_file_every_suite(tmp_path, capsys):
     code, out = run_cli(capsys, "verify", "--graph", str(path))
     assert code == 0
     assert "PASS\tintegral-noninvariance-witness\t" in out
+
+
+def test_verify_reports_failing_checks(monkeypatch, capsys):
+    # a count off by one on hollow_2 breaks the Catalan relations at n = 2,
+    # where hollow_2 is the left side, and at n = 3, where it is a summand
+    hollow_2 = hollow_catalan_graph(2)
+
+    def off_by_one(g, q):
+        return count_integral_colorings(g, q) + (g == hollow_2)
+
+    monkeypatch.setattr(identities, "count_integral_colorings", off_by_one)
+    identities._count.cache_clear()
+    try:
+        code, out = run_cli(capsys, "verify", "--suite", "catalan", "--n", "3")
+        assert code == 1
+        lines = out.splitlines()
+        assert [line for line in lines if not line.startswith("PASS")] == [
+            "FAIL\tcatalan-hollow-relations\tn=2, integral\twitness=('q', 0, 1, 0)",
+            "FAIL\tcatalan-hollow-relations\tn=3, integral\twitness=('q', 0, 0, -3)",
+            "# 7/9 checks passed",
+        ]
+        code, out = run_cli(capsys, "verify", "--suite", "catalan", "--n", "3", "--json")
+        assert code == 1
+        docs = [json.loads(line) for line in out.splitlines()]
+        assert [(doc["instance"], doc["witness"]) for doc in docs if doc["passed"] is False] == [
+            ("n=2, integral", "('q', 0, 1, 0)"),
+            ("n=3, integral", "('q', 0, 0, -3)"),
+        ]
+        assert sum(doc["passed"] is True for doc in docs) == 7
+    finally:
+        identities._count.cache_clear()
+
+
+@pytest.mark.parametrize("suite", ["second", "complete"])
+def test_verify_graph_refuses_before_walking_partitions(tmp_path, monkeypatch, capsys, suite):
+    # no gain-0 link, so both suites sum the graph plus the 36 gain-0 links
+    # of K_9: 47 edges.  Both refuse before walking any of the Bell(9) = 21,147
+    # partitions, which took seconds, so a walk here fails the test.
+    edges = [[1, 2, 1], [1, 5, 1], [4, 9, 1], [5, 8, 2], [2, 8, 2], [1, 8, -1], [8, 9, -1], [3, 4, 2], [3, 7, 2], [3, 4, -1], [7, 9, -1]]
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps({"n": 9, "edges": edges}))
+
+    def walk(*args):
+        raise AssertionError("a partition walk started")
+
+    monkeypatch.setattr(identities, "stable_partitions", walk)
+    monkeypatch.setattr(identities, "set_partitions", walk)
+    code = main(["verify", "--suite", suite, "--graph", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (3, "", "error: 47 edges exceed the expansion bound 26\n")
 
 
 # sha256 of the full stdout of `verify --suite all --n 2`.  A change of

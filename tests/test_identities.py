@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from gainchrom import identities
-from gainchrom.chromatic import count_integral_colorings, total_poly
+from gainchrom.chromatic import TooManyEdges, count_integral_colorings, total_poly
 from gainchrom.families import catalan_graph, hollow_catalan_graph, linial_graph, shi_graph
 from gainchrom.gaingraph import IntegralGainGraph
 from gainchrom.combinatorics import stirling1_signed
@@ -90,10 +90,20 @@ def test_neutral_subset_reduction_zero_free_catalan():
     assert check_neutral_subset_reduction(catalan_graph(3), "zero_free").passed
 
 
+# 11 links of nonzero gain on 9 vertices: with the 36 gain-0 links of K_9
+# both reductions sum a 47-edge graph, over the default guard of 26
+_LINKS_9 = [(1, 2, 1), (1, 5, 1), (4, 9, 1), (5, 8, 2), (2, 8, 2), (1, 8, -1), (8, 9, -1), (3, 4, 2), (3, 7, 2), (3, 4, -1), (7, 9, -1)]
+
+
 def test_stable_partition_reduction():
     assert check_stable_partition_reduction(shi_graph(2), "modular", [5]).passed
     assert check_stable_partition_reduction(catalan_graph(3), "total").passed
     assert check_stable_partition_reduction(linial_graph(3), "integral", range(7)).passed
+    # a gain-0 loop leaves no stable partition, so both sides are 0 and no
+    # graph plus K_9 is summed
+    looped = IntegralGainGraph(9, _LINKS_9 + [(4, 4, 0)])
+    assert check_stable_partition_reduction(looped, "zero_free").passed
+    assert check_stable_partition_reduction(looped, "integral", range(4)).passed
 
 
 def test_partition_complete_reduction():
@@ -103,6 +113,18 @@ def test_partition_complete_reduction():
     assert check_partition_complete_reduction(IntegralGainGraph(3), "zero_free").passed
     with pytest.raises(NeutralEdgePresent):
         check_partition_complete_reduction(shi_graph(2), "integral", [3])
+
+
+@pytest.mark.parametrize("check", [check_stable_partition_reduction, check_partition_complete_reduction])
+@pytest.mark.parametrize("selector", ["integral", "modular", "zero_free", "total"])
+def test_partition_reductions_refuse_before_walking(monkeypatch, check, selector):
+    def walk(*args):
+        raise AssertionError("a partition walk started")
+
+    monkeypatch.setattr(identities, "stable_partitions", walk)
+    monkeypatch.setattr(identities, "set_partitions", walk)
+    with pytest.raises(TooManyEdges, match="^47 edges exceed the expansion bound 26$"):
+        check(IntegralGainGraph(9, _LINKS_9), selector)
 
 
 def test_catalan_hollow_worked_instance():
@@ -209,15 +231,16 @@ def fresh_oracle_memo():
     identities._count.cache_clear()
 
 
-@pytest.mark.parametrize(
-    "name, label",
-    [
-        ("count_integral_colorings", "integral"),
-        ("count_modular_colorings", "modular"),
-        ("total_poly", "total"),
-        ("zero_free_poly", "zero-free"),
-    ],
-)
+# each function the invariance suite reads, and the label its failures carry
+_FAKED = [
+    ("count_integral_colorings", "integral"),
+    ("count_modular_colorings", "modular"),
+    ("total_poly", "total"),
+    ("zero_free_poly", "zero-free"),
+]
+
+
+@pytest.mark.parametrize("name, label", _FAKED)
 def test_invariance_laws_report_their_failures(monkeypatch, fresh_oracle_memo, name, label):
     # a function that counts edges breaks every law it takes part in, and
     # each law names the first function it fails under
@@ -242,6 +265,26 @@ def test_invariance_laws_report_their_failures(monkeypatch, fresh_oracle_memo, n
         "neutral-deletion-contraction": [(_describe(link), 1)] if covered else None,
     }
     assert {identity: witnesses[identity] for identity in expected} == expected
+
+
+@pytest.mark.parametrize("name, label", _FAKED)
+def test_switching_and_union_sweeps_report_their_failures(monkeypatch, fresh_oracle_memo, name, label):
+    # a function that sums the gains changes under switching, and its total
+    # is no product over a disjoint union
+    if name.startswith("count_"):
+        monkeypatch.setattr(identities, name, lambda g, q: sum(gain for _, _, gain in g.edges))
+    else:
+        monkeypatch.setattr(identities, name, lambda g, max_edges=26: Poly2.const(sum(gain for _, _, gain in g.edges)))
+    loop = IntegralGainGraph(2, [(1, 1, 0), (1, 2, 1)])
+    link = IntegralGainGraph(2, [(1, 1, 1), (1, 2, 0)])
+    reports = run_invariance_suite([loop, link], switchings=1, union_samples=1)
+    witnesses = {r.identity: r.witness for r in reports}
+    # the seed-0 switching {1: 3, 2: 0} changes the gain of each link
+    switched = [(_describe(g), {1: 3, 2: 0}, label) for g in (loop, link)]
+    assert witnesses["switching-invariance"] == (None if label == "integral" else switched)
+    assert witnesses["integral-noninvariance-witness"] is None
+    union = [f"{_describe(loop)} + {_describe(link)}"] if label == "total" else None
+    assert witnesses["disjoint-union-product"] == union
 
 
 def test_catalan_relations_report_the_relation_that_fails(monkeypatch, fresh_oracle_memo):
