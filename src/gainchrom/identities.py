@@ -9,9 +9,10 @@ One evaluator applies a chromatic function to a combination: the counting
 selectors ("integral", "modular") give values at a finite q sample, the
 polynomial selectors ("zero_free", "total") a polynomial.  The default
 sample 0..2n+3 exceeds the degree of every polynomial involved, so sample
-equality implies polynomial equality.  Each law of the invariance suite
-(nullity, simplification, loop independence, deletion-contraction) is a
-combination that must vanish.
+equality implies polynomial equality.  The invariance suite holds four
+laws (nullity, simplification, loop independence, deletion-contraction)
+as rows of one table of combinations that must vanish; its switching
+sweep and disjoint-union sweep are separate.
 
 Checks return CheckReport values; nothing is asserted here, callers decide
 what a failure means.
@@ -59,8 +60,8 @@ COUNTING_SELECTORS = ("integral", "modular")
 POLY_SELECTORS = ("zero_free", "total")
 
 # Oracle counts kept across checks; the least recently used go first.
-# `verify --suite all --n 3` makes 19,838 oracle runs with this bound and
-# 19,551 with none; the switching sweep keeps its counts apart.
+# `verify --suite all --n 3` makes 20,674 oracle runs with this bound and
+# 20,387 with none; the switching sweep keeps its counts apart.
 _ORACLE_MEMO = 8192
 _SWITCHING_BOUND = 3  # random switchings take values in [-3, 3]
 
@@ -118,10 +119,17 @@ def _combine(terms: Iterable[tuple[IntegralGainGraph, int]]) -> _Combination:
     return _add_terms({}, terms)
 
 
+def _check_selector(selector: str) -> None:
+    """Refuse a selector that names no chromatic function, before any work."""
+    if selector not in COUNTING_SELECTORS + POLY_SELECTORS:
+        raise ValueError(f"unknown selector {selector!r}")
+
+
 def _evaluate(
     selector: str, combination: _Combination, sample_q: Iterable[int], max_edges: int
 ) -> dict[int, int] | Poly2:
     """The chromatic function named by ``selector``, applied to a combination."""
+    _check_selector(selector)
     if selector in COUNTING_SELECTORS:
         qs = [q for q in sample_q if q >= 1 or selector == "integral"]
         values = dict.fromkeys(qs, 0)
@@ -129,14 +137,12 @@ def _evaluate(
             for q in qs:
                 values[q] += coeff * _count(selector, g, q)
         return values
-    if selector in POLY_SELECTORS:
-        poly = total_poly if selector == "total" else zero_free_poly
-        value = Poly2.zero()
-        for g, coeff in combination.items():
-            term = poly(g, max_edges)
-            value = value + (term if coeff == 1 else coeff * term)
-        return value
-    raise ValueError(f"unknown selector {selector!r}")
+    poly = total_poly if selector == "total" else zero_free_poly
+    value = Poly2.zero()
+    for g, coeff in combination.items():
+        term = poly(g, max_edges)
+        value = value + (term if coeff == 1 else coeff * term)
+    return value
 
 
 def _first_mismatch(lhs, rhs):
@@ -233,6 +239,7 @@ def check_neutral_subset_reduction(
 
     A subset and its closure give the same minor, so the two sums are equal
     as combinations; the flat form is evaluated only where they are not."""
+    _check_selector(selector)
     sq = list(sample_q if sample_q is not None else default_sample_q(g.n))
     subset_terms, flat_terms = _neutral_expansions(g)
     subsets, flats = _combine(subset_terms), _combine(flat_terms)
@@ -259,6 +266,7 @@ def check_stable_partition_reduction(
     at once when over max_edges, before any partition is walked."""
     if not g.has_neutral_loop():
         _guard(g.add_neutral_complete(), max_edges)
+    _check_selector(selector)
     sq = list(sample_q if sample_q is not None else default_sample_q(g.n))
     neutral_pairs = [(t, h) for t, h, gain in g.edges if gain == 0]
     minors = _combine(
@@ -283,6 +291,7 @@ def check_partition_complete_reduction(
     if g.neutral_indices():
         raise NeutralEdgePresent("the complete-graph reduction needs a gain-0-free graph")
     _guard(g.add_neutral_complete(), max_edges)
+    _check_selector(selector)
     sq = list(sample_q if sample_q is not None else default_sample_q(g.n))
     contracted = [(g.contract_partition(pi), partition_mobius(pi)) for pi in set_partitions(g.n)]
     sides = [
@@ -305,6 +314,7 @@ def check_catalan_hollow_relations(
     nonzero-gain loops; mod q that needs q >= 2 (mod 1 every loop is neutral),
     hence the modular default sample starts at 2.
     """
+    _check_selector(selector)
     default_lo = 2 if selector == "modular" else 0
     sq = list(sample_q if sample_q is not None else range(default_lo, n + 4))
     orders = range(1, n + 1)
@@ -326,6 +336,7 @@ def check_linial_partition_expansion(
     The expansion drops gain-1 loops, so the modular default sample starts at
     q = 2 (mod 1 every loop is neutral and the hypothesis fails).
     """
+    _check_selector(selector)
     default_lo = 2 if selector == "modular" else 0
     sq = list(sample_q if sample_q is not None else range(default_lo, n + 4))
     partitions = _combine((sc_partition_graph(pi), 1) for pi in set_partitions(n))
@@ -433,10 +444,6 @@ def _describe(g: IntegralGainGraph) -> str:
     return f"graph(n={g.n}, edges={list(g.edges)})"
 
 
-def _doubled(g: IntegralGainGraph) -> IntegralGainGraph:
-    return IntegralGainGraph(g.n, list(g.edges) + list(g.edges))
-
-
 # (label, selector, sample) for each function a law is checked under, in order.
 _LAW_FUNCTIONS = (
     ("integral", "integral", range(5)),
@@ -454,6 +461,14 @@ def _nonvanishing(combination: _Combination, functions, max_edges: int) -> str |
     return None
 
 
+def _loop_functions(g: IntegralGainGraph) -> tuple:
+    """The functions loop independence is checked under: the modular count
+    only at the q where every nonzero loop gain of g stays nonzero mod q."""
+    dropped = [gain for t, h, gain in g.edges if t == h and gain != 0]
+    loop_qs = [q for q in range(2, 6) if all(gain % q for gain in dropped)]
+    return _LAW_FUNCTIONS[0], ("modular", "modular", loop_qs), ("zero-free", "zero_free", ())
+
+
 def _sweep(
     identity: str, instance: str, failures: list, lhs: str, rhs: str | None = None
 ) -> CheckReport:
@@ -468,12 +483,11 @@ def run_invariance_suite(
     union_samples: int = 50,
     max_edges: int = DEFAULT_MAX_EDGES,
 ) -> list[CheckReport]:
-    """Property sweep over a corpus: switching invariance of the modular,
-    zero-free, and total functions (with the integral non-invariance witness),
-    gain-0 loop nullity, invariance under simplification, loop independence,
-    deletion-contraction for gain-0 links, and multiplicativity on disjoint
-    unions.  Each of the four laws in between is a combination that must
-    vanish."""
+    """Property sweep over a corpus: switching invariance of the modular, zero-free
+    and total functions (with the integral non-invariance witness), gain-0 loop nullity,
+    invariance under simplification, loop independence, deletion-contraction for gain-0
+    links, and multiplicativity on disjoint unions.  The four laws in between are the
+    rows of one table of combinations that must vanish."""
     rng = random.Random(seed)
     reports: list[CheckReport] = []
     mod_sample = (3, 4)
@@ -536,63 +550,34 @@ def run_invariance_suite(
         )
     )
 
-    # Gain-0 loop nullity: {g: 1} vanishes.
-    nullity = [g for g in corpus if g.has_neutral_loop()]
-    failures = []
-    for g in nullity:
-        if label := _nonvanishing({g: 1}, _LAW_FUNCTIONS, max_edges):
-            failures.append((_describe(g), label))
-    instance = f"{len(nullity)} corpus graphs with a gain-0 loop"
-    reports.append(_sweep("neutral-loop-nullity", instance, failures, "all zero"))
-
-    # Invariance under simplification: with every edge doubled,
-    # {doubled: 1, g: -1} vanishes.
-    failures = []
-    for g in corpus:
-        doubled = _doubled(g)
-        if doubled.simplify() != g.simplify():
-            failures.append((_describe(g), "simplify"))
-        elif label := _nonvanishing(_combine([(doubled, 1), (g, -1)]), _LAW_FUNCTIONS, max_edges):
-            failures.append((_describe(g), label))
-    instance = f"{len(corpus)} graphs, every edge doubled"
-    reports.append(_sweep("simplification-invariance", instance, failures, "functions unchanged"))
-
-    # Loop independence: dropping nonzero-gain loops changes nothing except
-    # the total polynomial (which is excluded here by design), so
-    # {stripped: 1, g: -1} vanishes.  The modular count is compared only at
-    # the q where every dropped gain stays nonzero mod q.
-    failures = []
-    loopy = 0
-    for g in corpus:
-        stripped = g.without_nonneutral_loops()
-        if stripped == g:
-            continue
-        loopy += 1
-        dropped = [gain for t, h, gain in g.edges if t == h and gain != 0]
-        loop_qs = [q for q in range(2, 6) if all(gain % q for gain in dropped)]
-        functions = (
-            _LAW_FUNCTIONS[0], ("modular", "modular", loop_qs), ("zero-free", "zero_free", ())
-        )
-        if label := _nonvanishing({stripped: 1, g: -1}, functions, max_edges):
-            failures.append((_describe(g), label))
-    instance = f"{loopy} corpus graphs with nonzero-gain loops"
-    reports.append(_sweep("loop-independence", instance, failures, "counts unchanged"))
-
-    # Deletion-contraction on gain-0 links: {g: 1, g - e: -1, g / e: 1}
-    # vanishes.
-    failures = []
-    dc_checked = 0
-    for g in corpus:
-        for i, (t, h, gain) in enumerate(g.edges):
-            if gain != 0 or t == h:
-                continue
-            dc_checked += 1
-            deleted, contracted = g.delete_edges([i]), g.contract_neutral_set([i])
-            recurrence = _combine([(g, 1), (deleted, -1), (contracted, 1)])
-            if _nonvanishing(recurrence, _LAW_FUNCTIONS, max_edges):
-                failures.append((_describe(g), i))
-    instance = f"{dc_checked} gain-0 links across the corpus"
-    reports.append(_sweep("neutral-deletion-contraction", instance, failures, "recurrence holds"))
+    # The vanishing laws, one row (identity, what, holds, cases) each.  A case
+    # (g, tag, combination, functions) fails if it has no combination or one
+    # that is not 0 under a function; its witness is g with the tag, or with
+    # that function's label if the tag is None.
+    laws = (
+        ("neutral-loop-nullity", "corpus graphs with a gain-0 loop", "all zero",
+         [(g, None, {g: 1}, _LAW_FUNCTIONS) for g in corpus if g.has_neutral_loop()]),
+        # Simplification: once g with every edge doubled simplifies to
+        # g.simplify(), {doubled: 1, g: -1} vanishes.
+        ("simplification-invariance", "graphs, every edge doubled", "functions unchanged",
+         [(g, None, _combine([(d, 1), (g, -1)]), _LAW_FUNCTIONS) if d.simplify() == g.simplify()
+          else (g, "simplify", None, ()) for g in corpus for d in [IntegralGainGraph(g.n, list(g.edges) * 2)]]),
+        # Loop independence: dropping nonzero-gain loops changes nothing but the
+        # total polynomial (excluded by design), so {stripped: 1, g: -1} vanishes.
+        ("loop-independence", "corpus graphs with nonzero-gain loops", "counts unchanged",
+         [(g, None, {s: 1, g: -1}, _loop_functions(g))
+          for g in corpus for s in [g.without_nonneutral_loops()] if s != g]),
+        ("neutral-deletion-contraction", "gain-0 links across the corpus", "recurrence holds",
+         [(g, i, _combine([(g, 1), (g.delete_edges([i]), -1), (g.contract_neutral_set([i]), 1)]),
+           _LAW_FUNCTIONS) for g in corpus for i, (t, h, gain) in enumerate(g.edges) if gain == 0 and t != h]),
+    )
+    for identity, what, holds, cases in laws:
+        failures = []
+        for g, tag, combination, functions in cases:
+            label = tag if combination is None else _nonvanishing(combination, functions, max_edges)
+            if label is not None:
+                failures.append((_describe(g), label if tag is None else tag))
+        reports.append(_sweep(identity, f"{len(cases)} {what}", failures, holds))
 
     # Multiplicativity over disjoint unions.
     failures = []
@@ -611,7 +596,7 @@ def run_invariance_suite(
 # -- fixture corpus -----------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)
 def fixture_corpus(max_n: int = 3, max_edges: int = 4) -> tuple[IntegralGainGraph, ...]:
     """Every gain graph with n <= max_n, gains in {-1, 0, 1}, and at most
     max_edges edges, one representative per isomorphism class."""

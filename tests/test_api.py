@@ -62,3 +62,40 @@ def test_no_function_in_the_package_recurses():
         for name in _self_calls(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert found == []
+
+
+def _name(node: ast.AST) -> str | None:
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def _unbounded_caches(tree: ast.AST) -> Iterator[str]:
+    """The functions under ``tree`` (or, outside a decorator, the lines)
+    that cache with ``functools.cache`` or with an ``lru_cache`` whose
+    ``maxsize`` is missing or None."""
+    owner = {
+        id(inner): node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for decorator in node.decorator_list
+        for inner in ast.walk(decorator)
+    }
+    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _name(node.func) == "lru_cache":
+            size = [k.value for k in node.keywords if k.arg == "maxsize"] or node.args[:1]
+            unbounded = not size or (isinstance(size[0], ast.Constant) and size[0].value is None)
+        else:
+            unbounded = _name(node) == "cache" or (_name(node) == "lru_cache" and id(node) not in called)
+        if unbounded:
+            yield owner.get(id(node), f"line {node.lineno}")
+
+
+def test_every_cache_in_the_package_is_bounded():
+    # an unbounded cache grows for the life of the process
+    package = Path(gainchrom.__file__).parent
+    found = [
+        f"{path.name}:{name}"
+        for path in sorted(package.glob("*.py"))
+        for name in _unbounded_caches(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == []

@@ -127,6 +127,30 @@ def test_partition_reductions_refuse_before_walking(monkeypatch, check, selector
         check(IntegralGainGraph(9, _LINKS_9), selector)
 
 
+_NO_NEUTRAL = IntegralGainGraph(3, [(1, 2, 1), (2, 3, -1)])
+
+
+@pytest.mark.parametrize(
+    "check, arg",
+    [
+        (check_neutral_subset_reduction, _NO_NEUTRAL),
+        (check_stable_partition_reduction, _NO_NEUTRAL),
+        (check_partition_complete_reduction, _NO_NEUTRAL),
+        (check_catalan_hollow_relations, 3),
+        (check_linial_partition_expansion, 3),
+    ],
+    ids=["neutral-subset", "stable-partition", "partition-complete", "catalan-hollow", "linial"],
+)
+def test_unknown_selector_is_refused_before_any_minor(monkeypatch, check, arg):
+    def walk(*args):
+        raise AssertionError("a subset or partition walk started")
+
+    for name in ("set_partitions", "stable_partitions", "combinations"):
+        monkeypatch.setattr(identities, name, walk)
+    with pytest.raises(ValueError, match="unknown selector 'bogus'"):
+        check(arg, "bogus")
+
+
 def test_catalan_hollow_worked_instance():
     # F(hollow_2) = 5 = S(2,1) F(catalan_1) + S(2,2) F(catalan_2) = 3 + 2 at q=3
     assert count_integral_colorings(hollow_catalan_graph(2), 3) == 5
@@ -265,6 +289,18 @@ def test_invariance_laws_report_their_failures(monkeypatch, fresh_oracle_memo, n
         "neutral-deletion-contraction": [(_describe(link), 1)] if covered else None,
     }
     assert {identity: witnesses[identity] for identity in expected} == expected
+
+
+def test_simplification_reports_a_doubled_graph_that_does_not_simplify(monkeypatch, fresh_oracle_memo):
+    # the doubled graph is compared with g.simplify() before any function
+    monkeypatch.setattr(IntegralGainGraph, "simplify", lambda self: self)
+    loop = IntegralGainGraph(2, [(1, 1, 0), (1, 2, 1)])
+    link = IntegralGainGraph(2, [(1, 1, 1), (1, 2, 0)])
+    reports = run_invariance_suite([loop, link, IntegralGainGraph(1)], switchings=1, union_samples=1)
+    [report] = [r for r in reports if r.identity == "simplification-invariance"]
+    assert not report.passed
+    assert report.instance == "3 graphs, every edge doubled"
+    assert report.witness == [(_describe(loop), "simplify"), (_describe(link), "simplify")]
 
 
 @pytest.mark.parametrize("name, label", _FAKED)
