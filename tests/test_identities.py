@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+from collections import Counter
+
 import pytest
 
 from gainchrom import identities
@@ -229,6 +232,21 @@ def test_fixture_corpus_structure():
     assert len(set(keys)) == len(keys)
 
 
+def test_fixture_corpus_is_cached_by_value():
+    identities._corpus.cache_clear()
+    corpus = fixture_corpus()
+    assert fixture_corpus(3) is corpus and fixture_corpus(max_n=3) is corpus
+    assert identities._corpus.cache_info().misses == 1
+
+
+def test_random_switching_draws_what_randint_draws():
+    g = IntegralGainGraph(4)
+    for seed in range(5):
+        rng, reference = random.Random(seed), random.Random(seed)
+        for _ in range(50):
+            assert identities.random_switching(g, rng) == {v: reference.randint(-3, 3) for v in range(1, 5)}
+
+
 def test_invariance_suite_smoke():
     corpus = fixture_corpus()[:60]
     reports = run_invariance_suite(corpus, switchings=5, union_samples=10)
@@ -301,6 +319,46 @@ def test_simplification_reports_a_doubled_graph_that_does_not_simplify(monkeypat
     assert not report.passed
     assert report.instance == "3 graphs, every edge doubled"
     assert report.witness == [(_describe(loop), "simplify"), (_describe(link), "simplify")]
+
+
+def test_switching_sweep_makes_each_distinct_comparison_once(monkeypatch, fresh_oracle_memo):
+    corpus, switchings = fixture_corpus(2), 30
+    # the switched graphs of the seed-0 stream, built by the constructor
+    rng = random.Random(0)
+    graphs = 0
+    keys = set()
+    for g in corpus:
+        etas = [{v: rng.randint(-3, 3) for v in range(1, g.n + 1)} for _ in range(switchings)]
+        switched = {IntegralGainGraph(g.n, [(t, h, gain - eta[t] + eta[h]) for t, h, gain in g.edges]) for eta in etas}
+        graphs += len(switched)
+        keys.update((q, s.n, tuple((t, h, gain % q) for t, h, gain in s.edges)) for s in switched for q in (3, 4))
+    assert graphs < len(corpus) * switchings and len(keys) < 2 * graphs  # the sweep meets repeats
+
+    calls = Counter()
+
+    def counted(name):
+        f = getattr(identities, name)
+
+        def call(*args):
+            calls[name] += 1
+            return f(*args)
+
+        return call
+
+    for name in ("total_poly", "count_modular_colorings"):
+        monkeypatch.setattr(identities, name, counted(name))
+
+    def sweep_calls(switchings):
+        # with no union samples the rest of the suite makes the same calls at any number of switchings
+        identities._count.cache_clear()
+        calls.clear()
+        reports = run_invariance_suite(corpus, switchings=switchings, union_samples=0)
+        assert all(r.passed for r in reports)
+        return Counter(calls)
+
+    made = sweep_calls(switchings)
+    made.subtract(sweep_calls(0))
+    assert made == {"total_poly": graphs, "count_modular_colorings": len(keys)}
 
 
 @pytest.mark.parametrize("name, label", _FAKED)
