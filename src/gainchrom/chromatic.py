@@ -396,8 +396,7 @@ def _expand_subsets(
     """
     rule = _Rule(getattr(g, "modulus", None), True, not balanced_only, _flag_merge, _peel_flags, False, (0, 0))
     terms = _terms(g, max_edges, rule)
-    expanded = (((a + dq, dz), c * r) for (a, b), c in terms.items() for dq, dz, r in _q_minus_z(b))
-    return Poly2._of(_add_terms({}, expanded))  # every exponent is nonnegative
+    return Poly2(((a + dq, dz), c * r) for (a, b), c in terms.items() for dq, dz, r in _q_minus_z(b))
 
 
 def total_poly(g: IntegralGainGraph | ModularGainGraph, max_edges: int = DEFAULT_MAX_EDGES) -> Poly2:

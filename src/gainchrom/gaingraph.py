@@ -130,14 +130,6 @@ class IntegralGainGraph:
             sorted(_canonical_edge(n, t, h, g) for t, h, g in edges)
         )
 
-    @classmethod
-    def _of(cls, n: int, edges: tuple[Edge, ...]) -> "IntegralGainGraph":
-        """The graph on n vertices holding ``edges``, already canonical and sorted."""
-        out = cls.__new__(cls)
-        out.n = n
-        out.edges = edges
-        return out
-
     # -- identity & serialization -------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -236,10 +228,7 @@ class IntegralGainGraph:
             if len(eta) != self.n:
                 raise ValueError("switching sequence must list a value per vertex")
             values = [0, *eta]
-        # Parallel links shift alike and a loop keeps its gain, so the edges
-        # stay sorted and canonical.
-        edges = tuple((t, h, g - values[t] + values[h]) for t, h, g in self.edges)
-        return IntegralGainGraph._of(self.n, edges)
+        return IntegralGainGraph(self.n, [(t, h, -values[t] + g + values[h]) for t, h, g in self.edges])
 
     def delete_edges(self, indices: Iterable[int]) -> "IntegralGainGraph":
         drop = set(indices)

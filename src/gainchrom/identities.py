@@ -437,8 +437,7 @@ def check_multizero_agreement(
 
 
 def random_switching(g: IntegralGainGraph, rng: random.Random) -> dict[int, int]:
-    # randrange(7) - 3 draws the same stream as randint(-3, 3), more cheaply.
-    return {v: rng.randrange(2 * _SWITCHING_BOUND + 1) - _SWITCHING_BOUND for v in range(1, g.n + 1)}
+    return {v: rng.randint(-_SWITCHING_BOUND, _SWITCHING_BOUND) for v in range(1, g.n + 1)}
 
 
 def _describe(g: IntegralGainGraph) -> str:
@@ -498,10 +497,12 @@ def run_invariance_suite(
     # once; a repeat still counts as checked.  The set starts empty, so the
     # first switching is always compared.  A switching is compared at z = 0
     # only once its total equals the base total, so that comparison is the
-    # same for every switching of a graph.  The count mod q reads nothing but
-    # n and the gains mod q, so switched counts are kept under that key, over
-    # the whole sweep and apart from the _count memo, where they would evict
-    # corpus counts.
+    # same for every switching of a graph.  The modular check assumes that
+    # the count mod q reads nothing but n and the gains mod q, as its
+    # definition says (test_modular_count_reads_only_the_gains_mod_q holds it
+    # to that), so switched counts are kept under that key, over the whole
+    # sweep and apart from the _count memo, where they would evict corpus
+    # counts.
     switched_mod: dict[tuple, int] = {}
     failures: list = []
     checked = 0

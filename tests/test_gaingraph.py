@@ -44,30 +44,6 @@ def test_switching():
         g.switch({1: 0})
 
 
-def test_switch_stores_what_the_constructor_stores():
-    # switch builds its result without re-sorting or re-canonicalising edges
-    rng = random.Random(3)
-    graphs = list(fixture_corpus())
-    for _ in range(300):
-        # multigraphs on 2..4 vertices: up to 6 links on at most 6 pairs, and
-        # loops of every gain in -4..4
-        n = rng.randint(2, 4)
-        pairs = list(combinations(range(1, n + 1), 2))
-        links = [(*rng.choice(pairs), rng.randint(-4, 4)) for _ in range(rng.randint(0, 6))]
-        loops = [(v, v, gain) for v in range(1, n + 1) for gain in range(-4, 5) if rng.random() < 0.2]
-        graphs.append(IntegralGainGraph(n, links + loops))
-    assert any(len({e[:2] for e in g.edges if e[0] != e[1]}) < sum(e[0] != e[1] for e in g.edges) for g in graphs)
-    for g in graphs:
-        values = [rng.randint(-5, 5) for _ in range(g.n)]
-        expected = IntegralGainGraph(g.n, [(t, h, gain - values[t - 1] + values[h - 1]) for t, h, gain in g.edges])
-        for eta in (values, dict(enumerate(values, start=1))):
-            switched = g.switch(eta)
-            assert (switched.n, switched.edges) == (expected.n, expected.edges)
-            assert switched == expected and hash(switched) == hash(expected)
-    with pytest.raises(ValueError):
-        IntegralGainGraph(2).switch([0])
-
-
 def test_switching_preserves_balance():
     rng = random.Random(5)
     for g in fixture_corpus():

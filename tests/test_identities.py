@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 
 from gainchrom import identities
-from gainchrom.chromatic import TooManyEdges, count_integral_colorings, total_poly
+from gainchrom.chromatic import TooManyEdges, count_integral_colorings, count_modular_colorings, total_poly
 from gainchrom.families import catalan_graph, hollow_catalan_graph, linial_graph, shi_graph
 from gainchrom.gaingraph import IntegralGainGraph
 from gainchrom.combinatorics import stirling1_signed
@@ -239,14 +239,6 @@ def test_fixture_corpus_is_cached_by_value():
     assert identities._corpus.cache_info().misses == 1
 
 
-def test_random_switching_draws_what_randint_draws():
-    g = IntegralGainGraph(4)
-    for seed in range(5):
-        rng, reference = random.Random(seed), random.Random(seed)
-        for _ in range(50):
-            assert identities.random_switching(g, rng) == {v: reference.randint(-3, 3) for v in range(1, 5)}
-
-
 def test_invariance_suite_smoke():
     corpus = fixture_corpus()[:60]
     reports = run_invariance_suite(corpus, switchings=5, union_samples=10)
@@ -359,6 +351,18 @@ def test_switching_sweep_makes_each_distinct_comparison_once(monkeypatch, fresh_
     made = sweep_calls(switchings)
     made.subtract(sweep_calls(0))
     assert made == {"total_poly": graphs, "count_modular_colorings": len(keys)}
+
+
+def test_modular_count_reads_only_the_gains_mod_q():
+    # the switching sweep keys its modular counts by the gains mod q, so a
+    # count may not change when any gain moves by a multiple of q
+    rng = random.Random(11)
+    for g in fixture_corpus():
+        for q in range(1, 6):
+            count = count_modular_colorings(g, q)
+            reduced = IntegralGainGraph(g.n, [(t, h, gain % q) for t, h, gain in g.edges])
+            shifted = IntegralGainGraph(g.n, [(t, h, gain + q * rng.randint(-3, 3)) for t, h, gain in g.edges])
+            assert count_modular_colorings(reduced, q) == count == count_modular_colorings(shifted, q), (g.edges, q)
 
 
 @pytest.mark.parametrize("name, label", _FAKED)

@@ -1,12 +1,12 @@
 """Parent/change measurements of a verify-suite change, written as one JSON file.
 
-    python3 tools/bench_verify_sweep.py --parent DIR [--change .] [--out BENCH_verify_sweep.json]
-        [--plan verify:1:10,verify:2:10,expand:1:3,regions:1:3,count:1:3] [--seconds 30]
+    python3 tools/bench_verify_sweep.py --parent DIR
 
-DIR and --change are two checkouts of the repository (say, ``git archive``
-of the parent commit unpacked next to this one) with identical
-``perfbench/`` directories.  The file gets four sections, each written as
-soon as it is done:
+DIR is a checkout of the parent commit (say, ``git archive`` of it unpacked
+next to this one) with the same ``perfbench/`` directory as the checkout
+that holds this script.  The script compares the two and writes
+``BENCH_verify_sweep.json`` at the root of its own checkout, in four
+sections, each as soon as it is done:
 
 * ``calls``: how often ``identities`` calls each chromatic function during
   a ``verify`` run, counted by wrapping the module's names in-process.
@@ -15,8 +15,9 @@ soon as it is done:
   seeds 1 and 2, on both sides, and the jobs where they differ.
 * ``rss_mb``: peak RSS of two ``verify`` commands, from ``os.wait4`` on the
   child, median of alternating runs.
-* ``pairs``: ``perfbench/run.py --trace 0`` runs of each workload:seed:pairs
-  item of --plan, alternating which side runs first, with
+* ``pairs``: ``perfbench/run.py --trace 0`` runs of each (workload, seed,
+  pairs) item of PLAN, as long as BENCHMARK.json's ``run_seconds``,
+  alternating which side runs first, with
   ``src/gainchrom/__pycache__`` removed before every run.  Each metric gets
   both sides' runs, medians and quartiles, the pairs the change read lower
   and higher in (ties count for neither side), the difference of the
@@ -36,6 +37,11 @@ import sys
 import tempfile
 from pathlib import Path
 
+CHANGE = Path(__file__).resolve().parents[1]
+OUT = CHANGE / "BENCH_verify_sweep.json"
+SECONDS = json.loads((CHANGE / "BENCHMARK.json").read_text())["run_seconds"]
+# (workload, seed, pairs) of the perfbench runs
+PLAN = (("verify", 1, 10), ("verify", 2, 10), ("expand", 1, 4), ("regions", 1, 4), ("count", 1, 4))
 # The verify commands whose identities-level calls are counted.
 COUNTED = (
     ("verify", "--suite", "invariance", "--switchings", "100"),
@@ -124,10 +130,10 @@ def peak_rss_mb(tree: Path, argv: tuple[str, ...]) -> float:
     return int(out.stdout) / 1024
 
 
-def perfbench_run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def perfbench_run(tree: Path, workload: str, seed: int) -> dict:
     _clear_bytecode(tree)
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", "0"]
+            "--seconds", str(SECONDS), "--trace", "0"]
     out = subprocess.run(argv, cwd=tree, capture_output=True, text=True, check=True)
     lines = out.stdout.strip().splitlines()
     result = json.loads(lines[-1])
@@ -147,12 +153,12 @@ def _summary(values: list[float]) -> dict:
             "quartiles": [round(quartiles[0], 4), round(quartiles[2], 4)]}
 
 
-def pair_runs(parent: Path, change: Path, workload: str, seed: int, pairs: int, seconds: float) -> dict:
+def pair_runs(parent: Path, change: Path, workload: str, seed: int, pairs: int) -> dict:
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     for i in range(pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            runs[side].append(perfbench_run(parent if side == "parent" else change, workload, seed, seconds))
+            runs[side].append(perfbench_run(parent if side == "parent" else change, workload, seed))
     metrics = {}
     for name in runs["parent"][0]["metrics"]:
         p = [r["metrics"][name] for r in runs["parent"]]
@@ -175,20 +181,14 @@ def pair_runs(parent: Path, change: Path, workload: str, seed: int, pairs: int, 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True)
-    parser.add_argument("--change", type=Path, default=Path("."))
-    parser.add_argument("--out", type=Path, default=Path("BENCH_verify_sweep.json"))
-    parser.add_argument("--plan", default="verify:1:10,verify:2:10,expand:1:3,regions:1:3,count:1:3")
-    parser.add_argument("--seconds", type=float, default=30)
-    args = parser.parse_args(argv)
-    parent, change = args.parent.resolve(), args.change.resolve()
+    parent, change = parser.parse_args(argv).parent.resolve(), CHANGE
     report: dict = {
         "machine": f"{os.cpu_count()} CPUs; Python {sys.version.split()[0]}",
-        "command": "python3 perfbench/run.py --workload WORKLOAD --seed SEED --seconds "
-                   f"{args.seconds:g} --trace 0",
+        "command": f"python3 perfbench/run.py --workload WORKLOAD --seed SEED --seconds {SECONDS:g} --trace 0",
     }
 
     def save() -> None:
-        args.out.write_text(json.dumps(report, indent=1) + "\n")
+        OUT.write_text(json.dumps(report, indent=1) + "\n")
 
     report["calls"] = {
         " ".join(cmd): {"parent": count_calls(parent, cmd), "change": count_calls(change, cmd)} for cmd in COUNTED
@@ -206,11 +206,8 @@ def main(argv: list[str] | None = None) -> int:
     report["rss_mb"] = rss
     save()
     report["pairs"] = {}
-    for item in filter(None, args.plan.split(",")):
-        workload, seed, pairs = item.split(":")
-        report["pairs"][f"{workload} seed {seed}"] = pair_runs(
-            parent, change, workload, int(seed), int(pairs), args.seconds
-        )
+    for workload, seed, pairs in PLAN:
+        report["pairs"][f"{workload} seed {seed}"] = pair_runs(parent, change, workload, seed, pairs)
         save()
     return 0
 
