@@ -35,8 +35,10 @@ the width of the offset interval its merged vertices span, so a vertex has
 max(0, q - width) colours and the count, a sum of products of such factors,
 is exact at every q; it is not switching invariant, so its states are
 memoised unswitched.  The memos are shared by every call, so a switching,
-doubling or minor of a graph seen before reuses its states, and cleared
-wholesale after any call that leaves them above a fixed state count.  The
+doubling or minor of a graph seen before reuses its states.  They also keep
+each graph's finished value under its normalised state, so a repeated or
+switched graph is one normalisation and one lookup.  They are cleared
+wholesale after any call that leaves them above a fixed entry count.  The
 CLI reads the modular count at q off the zero-free polynomial of the gains
 mod q, evaluated at q: a subset counts there iff it is balanced mod q.
 """
@@ -258,12 +260,28 @@ def _peel_widths(terms: Terms, widths: tuple[int, ...]) -> Terms:
     return {tuple(sorted(ws + widths)): c for ws, c in terms.items()}
 
 
+@lru_cache(maxsize=64)
+def _q_minus_z(b: int) -> tuple[tuple[int, int, int], ...]:
+    """(q - z)^b as (q degree, z degree, coefficient) triples."""
+    return tuple((b - k, k, comb(b, k) * (-1) ** k) for k in range(b + 1))
+
+
+def _read_flags(terms: Terms) -> dict[tuple[int, int], int]:
+    """The terms q^a (q - z)^b expanded to (q degree, z degree) -> coefficient."""
+    return _add_terms({}, (((a + dq, dz), c * r) for (a, b), c in terms.items() for dq, dz, r in _q_minus_z(b)))
+
+
+def _read_widths(terms: Terms) -> Terms:
+    """The width terms are the integral count's finished value as they are."""
+    return terms
+
+
 # One engine: the modulus of its gains, whether _state switches, whether
 # nonzero loops and contracted circles flag their vertex, how a contraction
-# merges two labels, how terms take on peeled labels, a vertex's first label
-# and the empty product.
-_Rule = namedtuple("_Rule", "modulus switch loops merge peel label unit")
-_WIDTHS = _Rule(None, False, False, _width_merge, _peel_widths, 0, ())
+# merges two labels, how terms take on peeled labels, a vertex's first label,
+# the empty product, and how the finished terms of a graph are read out.
+_Rule = namedtuple("_Rule", "modulus switch loops merge peel label unit read")
+_WIDTHS = _Rule(None, False, False, _width_merge, _peel_widths, 0, (), _read_widths)
 
 
 def _state(links: frozenset, labels: tuple, rule: _Rule) -> tuple:
@@ -272,7 +290,8 @@ def _state(links: frozenset, labels: tuple, rule: _Rule) -> tuple:
     With ``rule.switch`` the key's links are switched so that a spanning
     forest of them has gain 0.  Switching changes no subset's balance, so
     every switching of a state gives one key; links are added in sorted
-    order, so equal inputs give equal forests.
+    order, so equal inputs give equal forests.  Only the first of each run
+    of parallel links is added, since the key reads only the potentials.
     """
     n = max((h for _, h, _ in links), default=0)
     if n == 0:
@@ -281,8 +300,11 @@ def _state(links: frozenset, labels: tuple, rule: _Rule) -> tuple:
         modulus = rule.modulus
         dsu = _GainDSU(n, modulus)
         ordered = sorted(links)
+        last_t = last_h = 0
         for t, h, gain in ordered:
-            dsu.add_edge(t, h, gain)
+            if h != last_h or t != last_t:  # a parallel link joins nothing and moves no potential
+                last_t, last_h = t, h
+                dsu.add_edge(t, h, gain)
         pot = [dsu.find(v)[1] for v in range(n + 1)]
         links = frozenset(_link(t, h, gain - pot[h] + pot[t], modulus) for t, h, gain in ordered)
     return labels[n + 1 :], (n, links, labels[: n + 1])
@@ -298,7 +320,7 @@ def _children(key: tuple, rule: _Rule) -> list[tuple[int, tuple, tuple]]:
     (x, t, g' - g + lo), or a loop at t when x == t.
     """
     n, links, labels = key
-    modulus, _, loops, merge, _, _, _ = rule
+    modulus, _, loops, merge, _, _, _, _ = rule
     at_top = sorted((e for e in links if e[1] == n), reverse=True)
     rest = links.difference(at_top)
     children = [(1, *_state(rest, labels, rule))]
@@ -341,10 +363,14 @@ def _solve(key: tuple, rule: _Rule, memo: dict) -> Terms:
     return memo[key]
 
 
-# One memo per rule, keyed by the rule itself and shared by every call.  A
-# call that leaves more than _MEMO_STATES states in them (each memo counting
-# as one state itself) clears them all, so the memos hold at most that many
-# between calls.  Values are shared between calls and never mutated.
+# One memo per rule, keyed by the rule itself and shared by every call.  It
+# holds the terms of each solved state under its key (n, links, labels), and
+# the read-out value of each graph a call finished under (peeled labels, key
+# of the rest), so a repeated or switched graph costs one _state and one
+# lookup.  A call that leaves more than _MEMO_STATES entries in them (each
+# memo counting as one entry itself) clears them all, so the memos hold at
+# most that many between calls.  Values are shared between calls and never
+# mutated.
 _MEMO_STATES = 4096
 _memos: dict[_Rule, dict] = {}
 
@@ -355,10 +381,11 @@ def _guard(g: IntegralGainGraph | ModularGainGraph, max_edges: int) -> None:
         raise TooManyEdges(f"{len(g.edges)} edges exceed the expansion bound {max_edges}")
 
 
-def _terms(g: IntegralGainGraph | ModularGainGraph, max_edges: int, rule: _Rule) -> Terms:
-    """The terms of g under ``rule``, in the rule's memo: {} when a gain-0
-    loop makes every sum vanish.  A nonzero loop flags its vertex when
-    ``rule.loops`` holds and is dropped otherwise."""
+def _terms(g: IntegralGainGraph | ModularGainGraph, max_edges: int, rule: _Rule) -> dict:
+    """The terms of g under ``rule``, read out by ``rule.read`` and kept in
+    the rule's memo: {} when a gain-0 loop makes every sum vanish.  A
+    nonzero loop flags its vertex when ``rule.loops`` holds and is dropped
+    otherwise."""
     _guard(g, max_edges)
     links = set()
     labels = [rule.label] * (g.n + 1)
@@ -371,18 +398,22 @@ def _terms(g: IntegralGainGraph | ModularGainGraph, max_edges: int, rule: _Rule)
             labels[t] = True
     memo = _memos.setdefault(rule, {_EMPTY: {rule.unit: 1}})
     peeled, key = _state(frozenset(links), tuple(labels), rule)
+    root = (peeled, key)
+    value = memo.get(root)
+    if value is not None:
+        return value
     try:
         terms = _solve(key, rule, memo)
-        return rule.peel(terms, peeled) if peeled else terms
     finally:
-        if len(_memos) + sum(map(len, _memos.values())) > _MEMO_STATES:
+        # the finished value will be one more entry; it is read out after
+        # any clear, so a full memo is freed before the value is built
+        kept = len(_memos) + sum(map(len, _memos.values())) < _MEMO_STATES
+        if not kept:
             _memos.clear()
-
-
-@lru_cache(maxsize=64)
-def _q_minus_z(b: int) -> tuple[tuple[int, int, int], ...]:
-    """(q - z)^b as (q degree, z degree, coefficient) triples."""
-    return tuple((b - k, k, comb(b, k) * (-1) ** k) for k in range(b + 1))
+    value = rule.read(rule.peel(terms, peeled) if peeled else terms)
+    if kept:
+        memo[root] = value
+    return value
 
 
 def _expand_subsets(
@@ -394,9 +425,10 @@ def _expand_subsets(
     With ``balanced_only`` the nonzero loops are dropped, since no balanced
     subset holds one.
     """
-    rule = _Rule(getattr(g, "modulus", None), True, not balanced_only, _flag_merge, _peel_flags, False, (0, 0))
-    terms = _terms(g, max_edges, rule)
-    return Poly2(((a + dq, dz), c * r) for (a, b), c in terms.items() for dq, dz, r in _q_minus_z(b))
+    rule = _Rule(
+        getattr(g, "modulus", None), True, not balanced_only, _flag_merge, _peel_flags, False, (0, 0), _read_flags
+    )
+    return Poly2._of(_terms(g, max_edges, rule))
 
 
 def total_poly(g: IntegralGainGraph | ModularGainGraph, max_edges: int = DEFAULT_MAX_EDGES) -> Poly2:
@@ -404,7 +436,9 @@ def total_poly(g: IntegralGainGraph | ModularGainGraph, max_edges: int = DEFAULT
     z the unbalanced ones.  Computed by memoised deletion-contraction, whose
     states can still grow exponentially, so guarded by max_edges.  The memo
     is keyed by the switching-normalised state and shared across calls, up
-    to a bounded number of states, so switched graphs cost one lookup."""
+    to a bounded number of entries; it keeps each graph's finished
+    polynomial too, so a repeated or switched graph costs one normalisation
+    and one lookup."""
     return _expand_subsets(g, max_edges, balanced_only=False)
 
 

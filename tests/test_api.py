@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from collections.abc import Iterator
 from pathlib import Path
 
@@ -99,3 +102,19 @@ def test_every_cache_in_the_package_is_bounded():
         for name in _unbounded_caches(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert found == []
+
+
+def test_the_cli_import_loads_the_pinned_modules():
+    # perfbench's traced line carries one import time per gainchrom module
+    # that `import gainchrom.cli` loads, so a module added to that import or
+    # loaded lazily changes the line's metric names
+    src = Path(gainchrom.__file__).resolve().parents[1]
+    code = "import sys, gainchrom.cli; print(*sorted(m for m in sys.modules if m.split('.')[0] == 'gainchrom'))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert out.stdout.split() == ["gainchrom"] + [
+        f"gainchrom.{name}"
+        for name in ("chromatic", "cli", "combinatorics", "families", "gaingraph", "identities", "poly")
+    ]

@@ -353,6 +353,17 @@ def test_switching_sweep_makes_each_distinct_comparison_once(monkeypatch, fresh_
     assert made == {"total_poly": graphs, "count_modular_colorings": len(keys)}
 
 
+def test_switching_draws_are_randint_draws():
+    # the sweep draws its switchings without randint, on randint's stream, so
+    # the union samples after it see the same generator state
+    for seed in range(10):
+        for n in range(5):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            for _ in range(30):
+                assert identities._random_switching(n, ours) == [theirs.randint(-3, 3) for _ in range(n)]
+            assert ours.getstate() == theirs.getstate()
+
+
 def test_modular_count_reads_only_the_gains_mod_q():
     # the switching sweep keys its modular counts by the gains mod q, so a
     # count may not change when any gain moves by a multiple of q

@@ -25,7 +25,8 @@ from gainchrom.chromatic import (
     zero_free_poly,
 )
 from gainchrom.combinatorics import closure
-from gainchrom.gaingraph import IntegralGainGraph, ModularGainGraph
+from gainchrom.gaingraph import IntegralGainGraph, ModularGainGraph, _GainDSU
+from gainchrom.identities import fixture_corpus
 from gainchrom.poly import Q, Z
 
 from test_chromatic import (
@@ -252,6 +253,110 @@ def test_shared_memo_is_bounded_between_calls(monkeypatch):
     small = IntegralGainGraph(3, [(1, 2, 1), (2, 3, 0), (1, 3, 2)])
     assert total_poly(small) == naive_total(small)
     assert 0 < len(chromatic._memos) + _memo_states() <= 20
+
+
+def _counting_solves(monkeypatch) -> list:
+    """Patch chromatic._solve to record each entry; returns the record."""
+    entries: list = []
+    solve = chromatic._solve
+
+    def counted(*args):
+        entries.append(args[0])
+        return solve(*args)
+
+    monkeypatch.setattr(chromatic, "_solve", counted)
+    return entries
+
+
+def test_a_solved_graph_is_one_lookup(monkeypatch):
+    # the memo keeps each graph's finished value under its normalised state,
+    # so a repeat, a switching and a repeated reduction mod q of a solved
+    # graph enter no _solve and add no memo entry
+    g = IntegralGainGraph(4, [(1, 2, 1), (1, 2, 3), (2, 3, -1), (3, 4, 2), (1, 4, 3), (2, 4, 1), (3, 3, 2)])
+    switched = g.switch([2, -1, 0, 3])
+    assert switched != g
+    chromatic._memos.clear()
+    first = (total_poly(g), zero_free_poly(g), total_poly(g.reduce_mod(3)))
+    width_count = integral_count(g, 5)
+    entries = _memo_states()
+    solves = _counting_solves(monkeypatch)
+    for graph in (g, switched):
+        assert (total_poly(graph), zero_free_poly(graph), total_poly(graph.reduce_mod(3))) == first
+    assert integral_count(g, 5) == width_count == naive_integral(g, 5)
+    assert first[0] == naive_total(g)
+    assert solves == [] and _memo_states() == entries
+
+
+def test_finished_values_are_cleared_with_the_states(monkeypatch):
+    small = IntegralGainGraph(3, [(1, 2, 1), (2, 3, 0), (1, 3, 2)])
+    chromatic._memos.clear()
+    total_poly(small)
+    [memo] = chromatic._memos.values()
+    # a state key is (n, links, labels), a finished value's (peeled labels, state key)
+    assert sum(len(key) == 2 for key in memo) == 1
+    # one entry short of what the call leaves, so it clears them all
+    monkeypatch.setattr(chromatic, "_MEMO_STATES", len(chromatic._memos) + _memo_states() - 1)
+    chromatic._memos.clear()
+    assert total_poly(small) == naive_total(small)
+    assert not chromatic._memos
+    solves = _counting_solves(monkeypatch)
+    assert total_poly(small) == naive_total(small)
+    assert solves
+
+
+def _state_adding_every_link(links: frozenset, labels: tuple, rule) -> tuple:
+    """The reference for chromatic._state: every link enters the potential
+    union-find, parallel ones included."""
+    n = max((h for _, h, _ in links), default=0)
+    if n == 0:
+        return labels[1:], chromatic._EMPTY
+    if rule.switch:
+        dsu = _GainDSU(n, rule.modulus)
+        ordered = sorted(links)
+        for t, h, gain in ordered:
+            dsu.add_edge(t, h, gain)
+        pot = [dsu.find(v)[1] for v in range(n + 1)]
+        links = frozenset(chromatic._link(t, h, gain - pot[h] + pot[t], rule.modulus) for t, h, gain in ordered)
+    return labels[n + 1 :], (n, links, labels[: n + 1])
+
+
+def _benchmark_shaped(rng: random.Random, n: int, edges: int) -> IntegralGainGraph:
+    """Edges as perfbench/gen.py places them: a tenth nonzero loops, a fifth
+    parallel to a link on a distinct pair with another gain, gains in
+    [-2, 2], each edge in a random orientation."""
+    loops, parallel = round(0.1 * edges), round(0.2 * edges)
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    out = [(i, j, rng.randint(-2, 2)) for i, j in rng.sample(pairs, edges - loops - parallel)]
+    for _ in range(parallel):
+        i, j, gain = rng.choice(out)
+        out.append((i, j, gain + rng.choice([-2, -1, 1, 2])))
+    out += [(v, v, rng.choice([-2, -1, 1, 2])) for v in rng.choices(range(1, n + 1), k=loops)]
+    return IntegralGainGraph(n, [(h, t, -gain) if rng.random() < 0.5 else (t, h, gain) for t, h, gain in out])
+
+
+def test_state_keys_equal_those_of_adding_every_link(monkeypatch):
+    # _state adds only the first of each run of parallel links to the
+    # union-find; every state the engines meet must get the key it gets
+    # when every link is added
+    rng = random.Random(2203)
+    graphs = list(fixture_corpus(3)) + [_benchmark_shaped(rng, rng.randint(5, 6), rng.randint(8, 12)) for _ in range(30)]
+    state = chromatic._state
+    with_parallels = 0
+
+    def checked(links, labels, rule):
+        nonlocal with_parallels
+        key = state(links, labels, rule)
+        assert key == _state_adding_every_link(links, labels, rule), (sorted(links), labels, rule.modulus)
+        with_parallels += len({(t, h) for t, h, _ in links}) < len(links)
+        return key
+
+    monkeypatch.setattr(chromatic, "_state", checked)
+    chromatic._memos.clear()
+    for g in graphs:
+        assert zero_free_poly(g) == total_poly(g).substitute_z(0)
+        total_poly(g.reduce_mod(3))
+    chromatic._memos.clear()
+    assert with_parallels > 100
 
 
 @pytest.mark.parametrize("labels", ["flags", "widths"])

@@ -1,16 +1,17 @@
 """Parent/change measurements of a verify-suite change, written as one JSON file.
 
-    python3 tools/bench_verify_sweep.py --parent DIR
+    python3 tools/bench_verify_sweep.py --parent DIR [--out FILE]
 
 DIR is a checkout of the parent commit (say, ``git archive`` of it unpacked
 next to this one) with the same ``perfbench/`` directory as the checkout
-that holds this script.  The script compares the two and writes
-``BENCH_verify_sweep.json`` at the root of its own checkout, in four
-sections, each as soon as it is done:
+that holds this script.  The script compares the two and writes FILE,
+by default ``BENCH_verify_sweep.json`` at the root of its own checkout, in
+four sections, each as soon as it is done:
 
 * ``calls``: how often ``identities`` calls each chromatic function during
-  a ``verify`` run, counted by wrapping the module's names in-process.
-  The counts repeat exactly from run to run.
+  a ``verify`` run, and how often the engines enter ``chromatic._solve``,
+  counted by wrapping the names in-process.  The counts repeat exactly
+  from run to run.
 * ``outputs``: stdout, stderr and exit code of every perfbench job of
   seeds 1 and 2, on both sides, and the jobs where they differ.
 * ``rss_mb``: peak RSS of two ``verify`` commands, from ``os.wait4`` on the
@@ -51,10 +52,10 @@ FUNCTIONS = ("total_poly", "zero_free_poly", "count_modular_colorings", "count_i
 RSS_RUNS = 5
 
 # Run in the child: wrap each function name that identities reads at call
-# time, then run the CLI with its output discarded.
+# time, and the engines' _solve, then run the CLI with its output discarded.
 _COUNT_CALLS = """
 import collections, io, json, sys, contextlib
-from gainchrom import identities, cli
+from gainchrom import chromatic, identities, cli
 calls = collections.Counter()
 def wrap(name, f):
     def counted(*args, **kwargs):
@@ -63,9 +64,10 @@ def wrap(name, f):
     return counted
 for name in {functions!r}:
     setattr(identities, name, wrap(name, getattr(identities, name)))
+chromatic._solve = wrap("_solve", chromatic._solve)
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main({argv!r})
-print(json.dumps({{"exit": code, **{{name: calls[name] for name in {functions!r}}}}}))
+print(json.dumps({{"exit": code, **{{name: calls[name] for name in (*{functions!r}, "_solve")}}}}))
 """
 
 
@@ -181,14 +183,16 @@ def pair_runs(parent: Path, change: Path, workload: str, seed: int, pairs: int) 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True)
-    parent, change = parser.parse_args(argv).parent.resolve(), CHANGE
+    parser.add_argument("--out", type=Path, default=OUT)
+    args = parser.parse_args(argv)
+    parent, change, out = args.parent.resolve(), CHANGE, args.out
     report: dict = {
         "machine": f"{os.cpu_count()} CPUs; Python {sys.version.split()[0]}",
         "command": f"python3 perfbench/run.py --workload WORKLOAD --seed SEED --seconds {SECONDS:g} --trace 0",
     }
 
     def save() -> None:
-        OUT.write_text(json.dumps(report, indent=1) + "\n")
+        out.write_text(json.dumps(report, indent=1) + "\n")
 
     report["calls"] = {
         " ".join(cmd): {"parent": count_calls(parent, cmd), "change": count_calls(change, cmd)} for cmd in COUNTED
