@@ -367,9 +367,11 @@ def _solve(key: tuple, rule: _Rule, memo: dict) -> Terms:
 # holds the terms of each solved state under its key (n, links, labels), and
 # the read-out value of each graph a call finished under (peeled labels, key
 # of the rest), so a repeated or switched graph costs one _state and one
-# lookup.  A call that leaves more than _MEMO_STATES entries in them (each
-# memo counting as one entry itself) clears them all, so the memos hold at
-# most that many between calls.  Values are shared between calls and never
+# lookup.  A value that is its state's own terms (the integral count of a
+# graph with nothing peeled) is that state's entry, not a second one.  A
+# call that leaves more than _MEMO_STATES entries in them (each memo
+# counting as one entry itself) clears them all, so the memos hold at most
+# that many between calls.  Values are shared between calls and never
 # mutated.
 _MEMO_STATES = 4096
 _memos: dict[_Rule, dict] = {}
@@ -398,7 +400,8 @@ def _terms(g: IntegralGainGraph | ModularGainGraph, max_edges: int, rule: _Rule)
             labels[t] = True
     memo = _memos.setdefault(rule, {_EMPTY: {rule.unit: 1}})
     peeled, key = _state(frozenset(links), tuple(labels), rule)
-    root = (peeled, key)
+    # with nothing peeled, the integral count's value is its state's terms
+    root = key if not peeled and rule.read is _read_widths else (peeled, key)
     value = memo.get(root)
     if value is not None:
         return value

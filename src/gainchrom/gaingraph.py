@@ -8,6 +8,15 @@ orientations (the nonnegative one, or the lesser residue mod m), and the
 edge list sorted, so graphs built from any orientations of the same edges
 compare equal.
 
+The public constructor canonicalises and sorts what it is given.  The
+operations whose output is canonical and sorted by construction skip that
+pass (``IntegralGainGraph._of``): ``switch`` moves every link of one
+(tail, head) class by the same amount and leaves loops alone, ``induced``
+relabels monotonically, ``delete_edges`` and ``without_nonneutral_loops``
+keep a sorted subsequence, and ``disjoint_union`` places the other graph's
+edges past this one's vertices.  Contractions, ``simplify`` and
+``add_neutral_complete`` still go through the constructor.
+
 Vertices are labelled 1..n (n = 0 is legal: the empty graph is the
 multiplicative identity for every chromatic function here).  Graphs are
 immutable; every operation returns a new graph.  Edge subsets are passed
@@ -130,6 +139,14 @@ class IntegralGainGraph:
             sorted(_canonical_edge(n, t, h, g) for t, h, g in edges)
         )
 
+    @classmethod
+    def _of(cls, n: int, edges: Iterable[Edge]) -> "IntegralGainGraph":
+        """The graph whose stored edges are ``edges``, already canonical and sorted."""
+        out = cls.__new__(cls)
+        out.n = n
+        out.edges = tuple(edges)
+        return out
+
     # -- identity & serialization -------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -228,12 +245,12 @@ class IntegralGainGraph:
             if len(eta) != self.n:
                 raise ValueError("switching sequence must list a value per vertex")
             values = [0, *eta]
-        return IntegralGainGraph(self.n, [(t, h, -values[t] + g + values[h]) for t, h, g in self.edges])
+        return IntegralGainGraph._of(self.n, [(t, h, -values[t] + g + values[h]) for t, h, g in self.edges])
 
     def delete_edges(self, indices: Iterable[int]) -> "IntegralGainGraph":
         drop = set(indices)
         keep = [e for i, e in enumerate(self.edges) if i not in drop]
-        return IntegralGainGraph(self.n, keep)
+        return IntegralGainGraph._of(self.n, keep)
 
     def delete_neutral_edges(self) -> "IntegralGainGraph":
         return self.delete_edges(self.neutral_indices())
@@ -308,7 +325,7 @@ class IntegralGainGraph:
 
     def without_nonneutral_loops(self) -> "IntegralGainGraph":
         keep = [e for e in self.edges if not (e[0] == e[1] and e[2] != 0)]
-        return IntegralGainGraph(self.n, keep)
+        return IntegralGainGraph._of(self.n, keep)
 
     # -- graph building helpers -------------------------------------------------
 
@@ -317,12 +334,12 @@ class IntegralGainGraph:
         verts = sorted(set(vertices))
         vmap = {v: i for i, v in enumerate(verts, start=1)}
         edges = [(vmap[t], vmap[h], g) for t, h, g in self.edges if t in vmap and h in vmap]
-        return IntegralGainGraph(len(verts), edges)
+        return IntegralGainGraph._of(len(verts), edges)
 
     def disjoint_union(self, other: "IntegralGainGraph") -> "IntegralGainGraph":
         shift = self.n
-        edges = list(self.edges) + [(t + shift, h + shift, g) for t, h, g in other.edges]
-        return IntegralGainGraph(self.n + other.n, edges)
+        edges = self.edges + tuple((t + shift, h + shift, g) for t, h, g in other.edges)
+        return IntegralGainGraph._of(self.n + other.n, edges)
 
     def canonical_iso_key(self) -> tuple:
         """Least relabelled edge tuple over all vertex permutations (small n only)."""

@@ -345,3 +345,18 @@ def test_memoised_terms_store_no_zero_coefficient():
     values = [terms for memo in chromatic._memos.values() for terms in memo.values()]
     assert len(chromatic._memos) == 4 and len(values) > 20
     assert all(0 not in terms.values() for terms in values)
+
+
+def test_memo_stores_no_value_twice():
+    # a finished value that is its state's own terms (the integral count of
+    # a graph with nothing peeled) is not stored again under the root key
+    from gainchrom import chromatic
+
+    chromatic._memos.clear()
+    assert integral_count(shi_graph(3), 5) == count_integral_colorings(shi_graph(3), 5)
+    for g in (catalan_graph(3), linial_graph(3), shi_graph(4)):
+        integral_count(g, 4)
+        total_poly(g)
+    values = [terms for memo in chromatic._memos.values() for terms in memo.values()]
+    assert len({id(terms) for terms in values}) == len(values)
+    chromatic._memos.clear()

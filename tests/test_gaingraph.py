@@ -322,3 +322,40 @@ def test_modular_count_equals_zero_free_of_reduction():
     for g in list(fixture_corpus())[:80]:
         for q in (1, 2, 3, 4):
             assert count_modular_colorings(g, q) == zero_free_poly(g.reduce_mod(q)).evaluate(q)
+
+
+def _shaped(rng: random.Random, n: int, edges: int) -> IntegralGainGraph:
+    """A tenth loops and a fifth links parallel to an earlier one, as
+    perfbench/gen.py places them, gains in [-2, 2], random orientations."""
+    loops, parallel = round(0.1 * edges), round(0.2 * edges)
+    out = [(rng.randint(1, n), rng.randint(1, n), rng.randint(-2, 2)) for _ in range(edges - loops - parallel)]
+    out = [(t, h, g) for t, h, g in out if t != h] or [(1, n, 1)]
+    out += [(t, h, g + rng.choice([-1, 1])) for t, h, g in rng.choices(out, k=parallel)]
+    out += [(v, v, rng.randint(-2, 2)) for v in rng.choices(range(1, n + 1), k=loops)]
+    return IntegralGainGraph(n, [(h, t, -g) if rng.random() < 0.5 else (t, h, g) for t, h, g in out])
+
+
+def test_operations_that_skip_validation_build_what_the_constructor_builds():
+    # switch, induced, delete_edges, without_nonneutral_loops and
+    # disjoint_union hand their edges over as they are; the constructor,
+    # given the same edges, must store the same graph with the same hash
+    rng = random.Random(2311)
+    shaped = [_shaped(rng, rng.randint(2, 7), rng.randint(3, 14)) for _ in range(200)]
+    graphs = list(fixture_corpus(3)) + shaped
+    assert sum(len(set(g.underlying_pairs())) < len(g.edges) for g in shaped) > 100
+
+    def same(built: IntegralGainGraph) -> None:
+        checked = IntegralGainGraph(built.n, built.edges)
+        assert (built.n, built.edges, hash(built)) == (checked.n, checked.edges, hash(checked))
+        assert hash(built) == hash((built.n, built.edges))
+
+    for g in graphs:
+        same(g)
+        eta = [rng.randint(-3, 3) for _ in range(g.n)]
+        same(g.switch(eta))
+        same(g.switch(dict(enumerate(eta, 1))))
+        same(g.induced(rng.sample(range(1, g.n + 1), rng.randint(0, g.n))))
+        same(g.delete_edges(rng.sample(range(len(g.edges)), rng.randint(0, len(g.edges)))))
+        same(g.delete_neutral_edges())
+        same(g.without_nonneutral_loops())
+        same(g.disjoint_union(rng.choice(graphs)))

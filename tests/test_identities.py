@@ -188,6 +188,52 @@ def test_total_split_hand_expansion():
     assert check_total_split(IntegralGainGraph(2, [(1, 1, 1), (1, 2, -1)])).passed
 
 
+def test_total_split_builds_each_outside_polynomial_once(monkeypatch):
+    # the outside graphs of the corpus repeat; each distinct one is built
+    # and turned into a polynomial in z once, however many splits meet it
+    made = Counter()
+    build = identities.ordinary_chromatic_poly
+
+    def counted(n, pairs):
+        made[n, tuple(pairs)] += 1
+        return build(n, pairs)
+
+    monkeypatch.setattr(identities, "ordinary_chromatic_poly", counted)
+    identities._chromatic_in_z.cache_clear()
+    corpus = fixture_corpus(3)
+    assert all(check_total_split(g).passed for g in corpus)
+    identities._chromatic_in_z.cache_clear()
+    assert max(made.values()) == 1 and sum(made.values()) < len(corpus)
+
+
+@pytest.mark.parametrize(
+    "check, method, graph",
+    [
+        (check_neutral_subset_reduction, "contract_neutral_set", IntegralGainGraph(3, [(1, 2, 0), (2, 3, 0), (1, 3, 0), (1, 1, 1)])),
+        (check_stable_partition_reduction, "contract_partition", IntegralGainGraph(3, [(1, 2, 0), (2, 3, 1), (1, 3, -1)])),
+        (check_partition_complete_reduction, "contract_partition", IntegralGainGraph(3, [(1, 2, 1), (2, 3, -1)])),
+    ],
+    ids=["neutral-subset", "stable-partition", "partition-complete"],
+)
+def test_both_selectors_of_a_check_share_one_build_of_its_minors(monkeypatch, check, method, graph):
+    # the verify suites check each graph under integral, then zero_free
+    calls = Counter()
+    contract = getattr(IntegralGainGraph, method)
+
+    def counted(self, arg):
+        calls[method] += 1
+        return contract(self, arg)
+
+    monkeypatch.setattr(IntegralGainGraph, method, counted)
+    for memo in (identities._neutral_combinations, identities._stable_minors, identities._complete_sides):
+        memo.cache_clear()
+    assert check(graph, "integral", range(6)).passed
+    built = calls[method]
+    assert built > 1
+    assert check(graph, "zero_free").passed
+    assert calls[method] == built
+
+
 def test_total_uniform_small():
     for family in ("catalan", "hollow-catalan", "shi", "linial"):
         for n in (1, 2, 3):

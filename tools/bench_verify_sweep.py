@@ -9,9 +9,11 @@ by default ``BENCH_verify_sweep.json`` at the root of its own checkout, in
 four sections, each as soon as it is done:
 
 * ``calls``: how often ``identities`` calls each chromatic function during
-  a ``verify`` run, and how often the engines enter ``chromatic._solve``,
-  counted by wrapping the names in-process.  The counts repeat exactly
-  from run to run.
+  a ``verify`` run, how often the engines enter ``chromatic._solve``, and
+  how often gain graphs are built by the validating constructor
+  (``IntegralGainGraph.__init__``), contracted and turned into polynomials
+  by substitution, counted by wrapping the names in-process.  The counts
+  repeat exactly from run to run.
 * ``outputs``: stdout, stderr and exit code of every perfbench job of
   seeds 1 and 2, on both sides, and the jobs where they differ.
 * ``rss_mb``: peak RSS of two ``verify`` commands, from ``os.wait4`` on the
@@ -48,14 +50,24 @@ COUNTED = (
     ("verify", "--suite", "invariance", "--switchings", "100"),
     ("verify", "--suite", "all", "--n", "3"),
 )
-FUNCTIONS = ("total_poly", "zero_free_poly", "count_modular_colorings", "count_integral_colorings")
+FUNCTIONS = (
+    "total_poly", "zero_free_poly", "count_modular_colorings", "count_integral_colorings", "ordinary_chromatic_poly"
+)
+# (class, method) pairs counted wherever they are called from
+METHODS = (
+    ("IntegralGainGraph", "__init__"),
+    ("IntegralGainGraph", "contract_neutral_set"),
+    ("IntegralGainGraph", "contract_partition"),
+    ("Poly2", "substitute_q"),
+)
 RSS_RUNS = 5
 
 # Run in the child: wrap each function name that identities reads at call
-# time, and the engines' _solve, then run the CLI with its output discarded.
+# time, the engines' _solve and the methods, then run the CLI with its
+# output discarded.
 _COUNT_CALLS = """
 import collections, io, json, sys, contextlib
-from gainchrom import chromatic, identities, cli
+from gainchrom import chromatic, identities, cli, gaingraph, poly
 calls = collections.Counter()
 def wrap(name, f):
     def counted(*args, **kwargs):
@@ -65,9 +77,13 @@ def wrap(name, f):
 for name in {functions!r}:
     setattr(identities, name, wrap(name, getattr(identities, name)))
 chromatic._solve = wrap("_solve", chromatic._solve)
+methods = [f"{{cls}}.{{name}}" for cls, name in {methods!r}]
+for cls, name in {methods!r}:
+    owner = getattr(gaingraph, cls, None) or getattr(poly, cls)
+    setattr(owner, name, wrap(f"{{cls}}.{{name}}", getattr(owner, name)))
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main({argv!r})
-print(json.dumps({{"exit": code, **{{name: calls[name] for name in (*{functions!r}, "_solve")}}}}))
+print(json.dumps({{"exit": code, **{{name: calls[name] for name in (*{functions!r}, "_solve", *methods)}}}}))
 """
 
 
@@ -80,7 +96,7 @@ def _clear_bytecode(tree: Path) -> None:
 
 
 def count_calls(tree: Path, argv: tuple[str, ...]) -> dict:
-    code = _COUNT_CALLS.format(functions=FUNCTIONS, argv=list(argv))
+    code = _COUNT_CALLS.format(functions=FUNCTIONS, methods=METHODS, argv=list(argv))
     out = subprocess.run([sys.executable, "-c", code], env=_env(tree), cwd=tree, capture_output=True, check=True)
     return json.loads(out.stdout)
 
