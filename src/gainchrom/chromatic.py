@@ -284,14 +284,24 @@ _Rule = namedtuple("_Rule", "modulus switch loops merge peel label unit read")
 _WIDTHS = _Rule(None, False, False, _width_merge, _peel_widths, 0, (), _read_widths)
 
 
+@lru_cache(maxsize=64)
+def _subset_rule(modulus: int | None, loops: bool) -> _Rule:
+    """The subset expansion's rule for gains mod ``modulus``, built once:
+    nonzero loops flag their vertex iff ``loops``."""
+    return _Rule(modulus, True, loops, _flag_merge, _peel_flags, False, (0, 0), _read_flags)
+
+
 def _state(links: frozenset, labels: tuple, rule: _Rule) -> tuple:
     """(labels of the isolated top vertices, memo key of the rest).
 
     With ``rule.switch`` the key's links are switched so that a spanning
-    forest of them has gain 0.  Switching changes no subset's balance, so
-    every switching of a state gives one key; links are added in sorted
-    order, so equal inputs give equal forests.  Only the first of each run
-    of parallel links is added, since the key reads only the potentials.
+    forest of them has gain 0: each link's gain becomes gain - pot[h] +
+    pot[t] under the potentials ``dsu.pot`` of the union-find.  Switching
+    changes no subset's balance, so every switching of a state gives one
+    key; links are added in sorted order, so equal inputs give equal
+    forests, and a link's two ends share a component, so the key does not
+    depend on which vertex is its root.  Only the first of each run of
+    parallel links is added, since the key reads only the potentials.
     """
     n = max((h for _, h, _ in links), default=0)
     if n == 0:
@@ -305,7 +315,7 @@ def _state(links: frozenset, labels: tuple, rule: _Rule) -> tuple:
             if h != last_h or t != last_t:  # a parallel link joins nothing and moves no potential
                 last_t, last_h = t, h
                 dsu.add_edge(t, h, gain)
-        pot = [dsu.find(v)[1] for v in range(n + 1)]
+        pot = dsu.pot
         links = frozenset(_link(t, h, gain - pot[h] + pot[t], modulus) for t, h, gain in ordered)
     return labels[n + 1 :], (n, links, labels[: n + 1])
 
@@ -398,7 +408,9 @@ def _terms(g: IntegralGainGraph | ModularGainGraph, max_edges: int, rule: _Rule)
             return {}
         elif rule.loops:
             labels[t] = True
-    memo = _memos.setdefault(rule, {_EMPTY: {rule.unit: 1}})
+    memo = _memos.get(rule)
+    if memo is None:
+        memo = _memos[rule] = {_EMPTY: {rule.unit: 1}}
     peeled, key = _state(frozenset(links), tuple(labels), rule)
     # with nothing peeled, the integral count's value is its state's terms
     root = key if not peeled and rule.read is _read_widths else (peeled, key)
@@ -428,10 +440,7 @@ def _expand_subsets(
     With ``balanced_only`` the nonzero loops are dropped, since no balanced
     subset holds one.
     """
-    rule = _Rule(
-        getattr(g, "modulus", None), True, not balanced_only, _flag_merge, _peel_flags, False, (0, 0), _read_flags
-    )
-    return Poly2._of(_terms(g, max_edges, rule))
+    return Poly2._of(_terms(g, max_edges, _subset_rule(getattr(g, "modulus", None), not balanced_only)))
 
 
 def total_poly(g: IntegralGainGraph | ModularGainGraph, max_edges: int = DEFAULT_MAX_EDGES) -> Poly2:

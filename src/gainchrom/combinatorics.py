@@ -111,7 +111,8 @@ def closure(n: int, pairs: list[tuple[int, int]], subset: Iterable[int]) -> froz
     dsu = _GainDSU(n)
     for i in subset:
         dsu.add_edge(*pairs[i], 0)
-    return frozenset(i for i, (a, b) in enumerate(pairs) if dsu.find(a)[0] == dsu.find(b)[0])
+    root = dsu.root
+    return frozenset(i for i, (a, b) in enumerate(pairs) if root[a] == root[b])
 
 
 def _flat_weights(

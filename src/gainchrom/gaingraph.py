@@ -26,7 +26,9 @@ stay distinguishable.
 A switching function is a vertex potential, so balance, components,
 balanced contraction, the subset expansion in chromatic.py and the flat
 closure in combinatorics.py all read one structure: ``_GainDSU``, a
-union-find that keeps each vertex's potential relative to its root.
+union-find that stores each vertex's root and its potential relative to
+that root.  Reading either is one list lookup; a union re-roots the
+smaller component, so each vertex moves O(log n) times.
 """
 
 from __future__ import annotations
@@ -67,40 +69,35 @@ def _canonical_edge(n: int, tail: int, head: int, gain: int, modulus: int | None
 class _GainDSU:
     """Union-find over vertices 1..n with gain potentials.
 
-    find(v) gives v's root and its potential relative to that root; every
-    consistent added edge (tail, head, gain) keeps pot(head) - pot(tail) ==
-    gain, modulo ``modulus`` when one is given.  The counters n_comp and
-    n_unbal (components containing a circle of nonzero gain) are what
-    balance tests and the expansion exponents read.
+    Every vertex stores its root (``root``) and its potential relative to
+    that root (``pot``), so find(v) is two reads.  A union moves the
+    members of the smaller component under the larger one's root and
+    re-bases their potentials, reduced mod ``modulus`` when one is given.
+    Every consistent added edge (tail, head, gain) keeps pot[head] -
+    pot[tail] == gain, modulo ``modulus``.  The counters n_comp and n_unbal
+    (components containing a circle of nonzero gain) are what balance tests
+    and the expansion exponents read.
     """
 
-    __slots__ = ("parent", "rank", "offset", "unbal", "mod", "n_comp", "n_unbal")
+    __slots__ = ("root", "pot", "next", "size", "unbal", "mod", "n_comp", "n_unbal")
 
     def __init__(self, n: int, modulus: int | None = None):
-        self.parent = list(range(n + 1))
-        self.rank = [0] * (n + 1)
-        self.offset = [0] * (n + 1)  # potential relative to parent
+        self.root = list(range(n + 1))
+        self.pot = [0] * (n + 1)
+        self.next = list(range(n + 1))  # the members of a component, in a ring
+        self.size = [1] * (n + 1)  # meaningful at roots
         self.unbal = [False] * (n + 1)  # meaningful at roots
         self.mod = modulus
         self.n_comp = n
         self.n_unbal = 0
 
     def find(self, v: int) -> tuple[int, int]:
-        pot = 0
-        while self.parent[v] != v:
-            pot += self.offset[v]
-            v = self.parent[v]
-        if self.mod is not None:
-            pot %= self.mod
-        return v, pot
+        return self.root[v], self.pot[v]
 
     def add_edge(self, t: int, h: int, gain: int) -> None:
-        rt, pt = self.find(t)
-        rh, ph = self.find(h)
-        if self.rank[rt] < self.rank[rh]:
-            # Union by rank: read the edge backwards so that rt ranks higher.
-            rt, pt, rh, ph, gain = rh, ph, rt, pt, -gain
-        delta = gain + pt - ph  # rh's potential relative to rt, or a circle's gain
+        root, pot = self.root, self.pot
+        rt, rh = root[t], root[h]
+        delta = gain + pot[t] - pot[h]  # rh's potential relative to rt, or a circle's gain
         if self.mod is not None:
             delta %= self.mod
         if rt == rh:
@@ -108,10 +105,20 @@ class _GainDSU:
                 self.unbal[rt] = True
                 self.n_unbal += 1
             return
-        if self.rank[rt] == self.rank[rh]:
-            self.rank[rt] += 1
-        self.parent[rh] = rt
-        self.offset[rh] = delta
+        size = self.size
+        if size[rh] > size[rt]:
+            # Union by size: read the edge backwards so that rh's side is the smaller.
+            rt, rh, delta = rh, rt, -delta
+        size[rt] += size[rh]
+        ring, mod = self.next, self.mod
+        v = rh
+        while True:
+            root[v] = rt
+            pot[v] = pot[v] + delta if mod is None else (pot[v] + delta) % mod
+            v = ring[v]
+            if v == rh:
+                break
+        ring[rt], ring[rh] = ring[rh], ring[rt]  # splice the two rings into one
         if self.unbal[rh]:
             if self.unbal[rt]:
                 self.n_unbal -= 1
@@ -121,8 +128,8 @@ class _GainDSU:
     def components(self) -> list[list[int]]:
         """Vertex sets of the components, each sorted, ordered by least vertex."""
         blocks: dict[int, list[int]] = {}
-        for v in range(1, len(self.parent)):
-            blocks.setdefault(self.find(v)[0], []).append(v)
+        for v in range(1, len(self.root)):
+            blocks.setdefault(self.root[v], []).append(v)
         return list(blocks.values())
 
 
@@ -289,7 +296,7 @@ class IntegralGainGraph:
         indices = tuple(indices)  # union order picks the roots
         dsu = self._dsu(indices)
         comps = dsu.components()
-        pot = [dsu.find(v)[1] for v in range(self.n + 1)]
+        pot = dsu.pot
         if dsu.n_unbal:
             raise UnbalancedSet("edge set contains a circle with nonzero gain")
         eta = [0] * (self.n + 1)

@@ -23,6 +23,13 @@ each induced graph and the chromatic polynomial in z of each outside
 graph, up to 128 of each, since small induced graphs repeat across the
 corpus.  Oracle counts are memoised up to 8192.
 
+The fixture corpus holds the first graph of each isomorphism class in the
+order ``combinations`` walks each n's edge universe.  A subset of the
+universe is a bitmask; each vertex permutation maps every edge's bit to
+the bit of its image, so a kept graph marks its whole orbit seen with one
+sum per permutation, and every other subset costs one sum and one set
+lookup.  No graph is canonicalised, and only the kept ones are built.
+
 Checks return CheckReport values; nothing is asserted here, callers decide
 what a failure means.
 """
@@ -32,7 +39,7 @@ from __future__ import annotations
 import random
 from collections.abc import Callable, Iterable, Sequence
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
 from types import SimpleNamespace
 
@@ -62,7 +69,7 @@ from .families import (
     linial_closed_forms,
     sc_partition_graph,
 )
-from .gaingraph import IntegralGainGraph
+from .gaingraph import IntegralGainGraph, _canonical_edge
 from .poly import Poly2, Q, Z, _add_terms, falling_factorial
 
 COUNTING_SELECTORS = ("integral", "modular")
@@ -567,15 +574,17 @@ def run_invariance_suite(
         zero_free_agrees = base_total.substitute_z(0) == zero_free_poly(g, max_edges)
         base_mod = tuple(_count("modular", g, q) for q in mod_sample)
         compared: set[tuple[int, ...]] = set()
-        skeleton = skeletons.setdefault((g.n, tuple((t, h) for t, h, _ in g.edges)), len(skeletons))
+        pairs = [(t, h) for t, h, _ in g.edges]
+        skeleton = skeletons.setdefault((g.n, tuple(pairs)), len(skeletons))
         for _ in range(switchings):
             eta = _random_switching(g.n, rng)
             checked += 1
-            gains = tuple(gain - eta[t - 1] + eta[h - 1] for t, h, gain in g.edges)
+            gains = tuple([gain - eta[t - 1] + eta[h - 1] for t, h, gain in g.edges])
             if gains in compared:
                 continue
             compared.add(gains)
-            switched = g.switch(eta)
+            # g.switch(eta), from the gains just computed
+            switched = IntegralGainGraph._of(g.n, [(t, h, gain) for (t, h), gain in zip(pairs, gains)])
             if total_poly(switched, max_edges) != base_total:
                 failures.append((_describe(g), dict(enumerate(eta, 1)), "total"))
                 break
@@ -584,7 +593,7 @@ def run_invariance_suite(
                 break
             counts = []
             for q in mod_sample:
-                key = (q, skeleton, tuple(gain % q for gain in gains))
+                key = (q, skeleton, tuple([gain % q for gain in gains]))
                 count = switched_mod.get(key)
                 if count is None:
                     count = switched_mod[key] = count_modular_colorings(switched, q)
@@ -677,8 +686,9 @@ def fixture_corpus(max_n: int = 3, max_edges: int = 4) -> tuple[IntegralGainGrap
 # spelled the arguments.  Callers use at most four keys in one process.
 @lru_cache(maxsize=4)
 def _corpus(max_n: int, max_edges: int) -> tuple[IntegralGainGraph, ...]:
+    """Each n's edge subsets in ``combinations`` order, the first of each
+    orbit under the vertex permutations kept, as the module docstring says."""
     graphs: list[IntegralGainGraph] = []
-    seen: set[tuple] = set()
     for n in range(max_n + 1):
         universe: list[tuple[int, int, int]] = []
         for i in range(1, n + 1):
@@ -687,13 +697,21 @@ def _corpus(max_n: int, max_edges: int) -> tuple[IntegralGainGraph, ...]:
             for j in range(i + 1, n + 1):
                 for gain in (-1, 0, 1):
                     universe.append((i, j, gain))
+        index = {e: i for i, e in enumerate(universe)}
+        # the identity comes first; a reversed link negates its gain, a loop keeps it
+        images = [
+            [1 << index[_canonical_edge(n, p[t - 1], p[h - 1], g)] for t, h, g in universe]
+            for p in permutations(range(1, n + 1))
+        ]
+        identity = images[0]
+        seen: set[int] = set()
         for size in range(min(max_edges, len(universe)) + 1):
-            for subset in combinations(universe, size):
-                g = IntegralGainGraph(n, subset)
-                key = g.canonical_iso_key()
-                if key not in seen:
-                    seen.add(key)
-                    graphs.append(g)
+            for subset in combinations(range(len(universe)), size):
+                if sum(map(identity.__getitem__, subset)) in seen:
+                    continue
+                seen.update(sum(map(image.__getitem__, subset)) for image in images)
+                # the universe is canonical and sorted, and so is each subset of it
+                graphs.append(IntegralGainGraph._of(n, [universe[i] for i in subset]))
     return tuple(graphs)
 
 

@@ -177,10 +177,11 @@ def falling_factorial(m: int, shift: int = 0) -> Poly1:
     """(q - shift)_m = (q-shift)(q-shift-1)...(q-shift-m+1); the empty product 1 for m = 0."""
     if m < 0:
         raise ValueError("falling factorial needs m >= 0")
-    out = ONE
-    for i in range(m):
-        out = out * (Q - (shift + i))
-    return out
+    coeffs = [1]  # coeffs[k] is the coefficient of q^k
+    for root in range(shift, shift + m):
+        # times (q - root): q^k takes the old q^(k-1) less root times the old q^k
+        coeffs = [lower - root * same for lower, same in zip([0, *coeffs], [*coeffs, 0])]
+    return Poly2._of({(k, 0): c for k, c in enumerate(coeffs) if c})
 
 
 def format_poly(p: Poly2) -> str:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -276,6 +277,36 @@ def test_fixture_corpus_structure():
     assert all(abs(gain) <= 1 for g in corpus for _, _, gain in g.edges)
     keys = [g.canonical_iso_key() for g in corpus]
     assert len(set(keys)) == len(keys)
+
+
+def _first_of_each_iso_class(max_n: int, max_edges: int = 4) -> list[IntegralGainGraph]:
+    """The corpus by its definition: every subset of each n's edge universe
+    in combinations order, kept when its canonical_iso_key is new."""
+    graphs, seen = [], set()
+    for n in range(max_n + 1):
+        loops = [(v, v, gain) for v in range(1, n + 1) for gain in (0, 1)]
+        links = [(t, h, gain) for t, h in combinations(range(1, n + 1), 2) for gain in (-1, 0, 1)]
+        universe = sorted(loops + links)
+        for size in range(min(max_edges, len(universe)) + 1):
+            for subset in combinations(universe, size):
+                g = IntegralGainGraph(n, subset)
+                key = g.canonical_iso_key()
+                if key not in seen:
+                    seen.add(key)
+                    graphs.append(g)
+    return graphs
+
+
+def test_fixture_corpus_keeps_the_first_graph_of_each_iso_class():
+    # the corpus is built from permutation orbits of edge bitmasks, never
+    # calling canonical_iso_key; it must be the same graphs in the same order
+    for max_n in range(4):
+        corpus = fixture_corpus(max_n)
+        reference = _first_of_each_iso_class(max_n)
+        assert [(g.n, g.edges) for g in corpus] == [(g.n, g.edges) for g in reference]
+    larger = fixture_corpus(4)
+    assert len(larger) == 1323
+    assert len({g.canonical_iso_key() for g in larger}) == 1323
 
 
 def test_fixture_corpus_is_cached_by_value():

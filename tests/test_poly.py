@@ -87,6 +87,16 @@ def test_falling_factorial():
     assert falling_factorial(0, shift=-7) == ONE
 
 
+def test_falling_factorial_is_its_product():
+    # built on one coefficient list; the definition multiplies Poly2 factors
+    for m in range(9):
+        for shift in range(-3, 6):
+            product = ONE
+            for i in range(m):
+                product = product * (Q - (shift + i))
+            assert falling_factorial(m, shift) == product, (m, shift)
+
+
 def _factorial(m: int) -> int:
     out = 1
     for i in range(2, m + 1):

@@ -11,9 +11,11 @@ four sections, each as soon as it is done:
 * ``calls``: how often ``identities`` calls each chromatic function during
   a ``verify`` run, how often the engines enter ``chromatic._solve``, and
   how often gain graphs are built by the validating constructor
-  (``IntegralGainGraph.__init__``), contracted and turned into polynomials
-  by substitution, counted by wrapping the names in-process.  The counts
-  repeat exactly from run to run.
+  (``IntegralGainGraph.__init__``), contracted, canonicalised up to
+  isomorphism (``canonical_iso_key``), turned into polynomials by
+  substitution, and how many edges enter the potential union-find
+  (``_GainDSU.add_edge``), counted by wrapping the names in-process.  The
+  counts repeat exactly from run to run.
 * ``outputs``: stdout, stderr and exit code of every perfbench job of
   seeds 1 and 2, on both sides, and the jobs where they differ.
 * ``rss_mb``: peak RSS of two ``verify`` commands, from ``os.wait4`` on the
@@ -58,6 +60,8 @@ METHODS = (
     ("IntegralGainGraph", "__init__"),
     ("IntegralGainGraph", "contract_neutral_set"),
     ("IntegralGainGraph", "contract_partition"),
+    ("IntegralGainGraph", "canonical_iso_key"),
+    ("_GainDSU", "add_edge"),
     ("Poly2", "substitute_q"),
 )
 RSS_RUNS = 5
