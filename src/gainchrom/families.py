@@ -13,11 +13,20 @@ Closed forms return exact polynomials plus the least q from which the
 integral and modular counting functions are claimed to match them.  The
 thresholds are data, never enforced; evaluating below them is allowed and
 simply may disagree with the coloring counts.
+
+Each family gives its integral form as data: a list of (w, roots) terms
+standing for sum w * prod_i (q - r_i), expanded by ``poly._product_sum``.
+Its zero-free form, which is also its modular form, follows term by term:
+w * prod_i (q - r_i) becomes w * q * prod_{i>=2} (q - r_i - 1), so the
+first factor turns into q and every later root moves up by one.  For the
+sc partition and Linial forms the first root must be the one of the block
+with lower degree 0.
 """
 
 from __future__ import annotations
 
 from collections import Counter, namedtuple
+from collections.abc import Sequence
 from math import comb, gcd
 
 from .combinatorics import (
@@ -33,7 +42,7 @@ from .combinatorics import (
 )
 from .chromatic import DEFAULT_MAX_EDGES, region_count
 from .gaingraph import IntegralGainGraph
-from .poly import ONE, Poly2, Q, falling_factorial
+from .poly import ONE, Poly2, _product_sum
 
 
 class NonIntegerResult(ArithmeticError):
@@ -89,14 +98,21 @@ class ClosedForms(namedtuple("ClosedForms", "integral modular zero_free integral
     __slots__ = ()
 
 
+def _closed_forms(terms: list[tuple[int, Sequence[int]]], integral_min_q: int, modular_min_q: int) -> ClosedForms:
+    """The forms whose integral polynomial is sum w * prod_i (q - r_i) over the
+    (w, roots) terms; the zero-free polynomial, also the modular one, takes
+    each term to w * q * prod_{i>=2} (q - r_i - 1)."""
+    integral = _product_sum(terms)
+    zero_free = _product_sum((w, [0, *(r + 1 for r in roots[1:])]) for w, roots in terms)
+    return ClosedForms(integral, zero_free, zero_free, integral_min_q, modular_min_q)
+
+
 def shi_closed_forms(n: int) -> ClosedForms:
     """integral (q-n+1)^n from q >= n-1; modular and zero-free q(q-n)^(n-1),
     modular from q > n."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    integral = (Q - (n - 1)) ** n
-    zero_free = Q * (Q - n) ** (n - 1)
-    return ClosedForms(integral, zero_free, zero_free, n - 1, n + 1)
+    return _closed_forms([(1, [n - 1] * n)], n - 1, n + 1)
 
 
 def catalan_closed_forms(n: int) -> ClosedForms:
@@ -104,9 +120,7 @@ def catalan_closed_forms(n: int) -> ClosedForms:
     modular from q > n."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    integral = falling_factorial(n, shift=n - 1)
-    zero_free = Q * falling_factorial(n - 1, shift=n + 1)
-    return ClosedForms(integral, zero_free, zero_free, n - 1, n + 1)
+    return _closed_forms([(1, range(n - 1, 2 * n - 1))], n - 1, n + 1)
 
 
 def hollow_catalan_closed_forms(n: int) -> ClosedForms:
@@ -114,14 +128,7 @@ def hollow_catalan_closed_forms(n: int) -> ClosedForms:
     q sum_j S(n,j)(q-j-1)_(j-1)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    integral = Poly2.zero()
-    zero_free = Poly2.zero()
-    for j in range(1, n + 1):
-        s = stirling2(n, j)
-        integral = integral + s * falling_factorial(j, shift=j - 1)
-        zero_free = zero_free + s * falling_factorial(j - 1, shift=j + 1)
-    zero_free = Q * zero_free
-    return ClosedForms(integral, zero_free, zero_free, n - 1, n + 1)
+    return _closed_forms([(stirling2(n, j), range(j - 1, 2 * j - 1)) for j in range(1, n + 1)], n - 1, n + 1)
 
 
 def sc_path_closed_forms(minus: SimpleGraph) -> ClosedForms:
@@ -131,15 +138,7 @@ def sc_path_closed_forms(minus: SimpleGraph) -> ClosedForms:
     if n < 1:
         raise ValueError("graphs on at least one vertex only")
     p = descending_path_partitions(minus.complement())
-    integral = Poly2.zero()
-    zero_free = Poly2.zero()
-    for r in range(1, n + 1):
-        if not p[r]:
-            continue
-        integral = integral + p[r] * falling_factorial(r, shift=n - 1)
-        zero_free = zero_free + p[r] * falling_factorial(r - 1, shift=n + 1)
-    zero_free = Q * zero_free
-    return ClosedForms(integral, zero_free, zero_free, n - 1, n + 1)
+    return _closed_forms([(p[r], range(n - 1, n - 1 + r)) for r in range(1, n + 1) if p[r]], n - 1, n + 1)
 
 
 def sc_partition_closed_forms(pi: SetPartition) -> ClosedForms:
@@ -150,22 +149,8 @@ def sc_partition_closed_forms(pi: SetPartition) -> ClosedForms:
     if k == 0:
         return ClosedForms(ONE, ONE, ONE, 0, 1)
     d = lower_degrees(pi)
-    integral, zero_free = _degree_products(k, d)
     dmax = max(d)
-    return ClosedForms(integral, zero_free, zero_free, k - 1 + dmax, k + dmax)
-
-
-def _degree_products(k: int, d: tuple[int, ...]) -> tuple[Poly2, Poly2]:
-    """prod_i (q-k+1-d_i) and q prod_{i>=2} (q-k-d_i) for k blocks whose
-    lower degrees d start with d_1 = 0; any order of d with a 0 first gives
-    the same products."""
-    integral = ONE
-    zero_free = Q
-    for i, di in enumerate(d):
-        integral = integral * (Q - (k - 1 + di))
-        if i:
-            zero_free = zero_free * (Q - (k + di))
-    return integral, zero_free
+    return _closed_forms([(1, [k - 1 + di for di in d])], k - 1 + dmax, k + dmax)
 
 
 def linial_closed_forms(n: int) -> ClosedForms:
@@ -173,20 +158,14 @@ def linial_closed_forms(n: int) -> ClosedForms:
     valid from q >= n-1, modular from q >= n.
 
     The forms depend only on the block count and the multiset of lower
-    degrees, so each distinct pair is multiplied out once and scaled by the
-    number of partitions sharing it (54 products instead of Bell(8) = 4140
-    at n = 8).
+    degrees, so each distinct pair is one term, weighted by the number of
+    partitions sharing it (54 terms instead of Bell(8) = 4140 at n = 8).
+    Sorted degrees start with the d_1 = 0 the zero-free rule drops.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     shapes = Counter((len(pi), tuple(sorted(lower_degrees(pi)))) for pi in set_partitions(n))
-    integral = Poly2.zero()
-    zero_free = Poly2.zero()
-    for (k, d), count in shapes.items():
-        shape_integral, shape_zero_free = _degree_products(k, d)
-        integral = integral + count * shape_integral
-        zero_free = zero_free + count * shape_zero_free
-    return ClosedForms(integral, zero_free, zero_free, n - 1, n)
+    return _closed_forms([(count, [k - 1 + di for di in d]) for (k, d), count in shapes.items()], n - 1, n)
 
 
 def linial_athanasiadis(n: int) -> Poly2:

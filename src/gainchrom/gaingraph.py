@@ -256,6 +256,8 @@ class IntegralGainGraph:
 
     def delete_edges(self, indices: Iterable[int]) -> "IntegralGainGraph":
         drop = set(indices)
+        if drop and (min(drop) < 0 or max(drop) >= len(self.edges)):
+            raise ValueError(f"edge indices must lie in range({len(self.edges)})")
         keep = [e for i, e in enumerate(self.edges) if i not in drop]
         return IntegralGainGraph._of(self.n, keep)
 
@@ -339,6 +341,8 @@ class IntegralGainGraph:
     def induced(self, vertices: Iterable[int]) -> "IntegralGainGraph":
         """Subgraph induced by a vertex subset, relabelled 1..|W| in order."""
         verts = sorted(set(vertices))
+        if verts and (verts[0] < 1 or verts[-1] > self.n):
+            raise ValueError(f"vertices must lie in 1..{self.n}")
         vmap = {v: i for i, v in enumerate(verts, start=1)}
         edges = [(vmap[t], vmap[h], g) for t, h, g in self.edges if t in vmap and h in vmap]
         return IntegralGainGraph._of(len(verts), edges)

@@ -70,7 +70,7 @@ from .families import (
     sc_partition_graph,
 )
 from .gaingraph import IntegralGainGraph, _canonical_edge
-from .poly import Poly2, Q, Z, _add_terms, falling_factorial
+from .poly import Poly2, Q, Z, _add_terms, _product_sum, falling_factorial
 
 COUNTING_SELECTORS = ("integral", "modular")
 POLY_SELECTORS = ("zero_free", "total")
@@ -143,17 +143,18 @@ def _combine(terms: Iterable[tuple[IntegralGainGraph, int]]) -> _Combination:
     return _add_terms({}, terms)
 
 
-def _check_selector(selector: str) -> None:
-    """Refuse a selector that names no chromatic function, before any work."""
+def _sample(selector: str, sample_q: Sequence[int] | None, default: Iterable[int]) -> list[int]:
+    """The q sample of a selector check, sample_q or else the default, once a
+    selector that names no chromatic function is refused, before any work."""
     if selector not in COUNTING_SELECTORS + POLY_SELECTORS:
         raise ValueError(f"unknown selector {selector!r}")
+    return list(sample_q if sample_q is not None else default)
 
 
 def _evaluate(
     selector: str, combination: _Combination, sample_q: Iterable[int], max_edges: int
 ) -> dict[int, int] | Poly2:
     """The chromatic function named by ``selector``, applied to a combination."""
-    _check_selector(selector)
     if selector in COUNTING_SELECTORS:
         qs = [q for q in sample_q if q >= 1 or selector == "integral"]
         values = dict.fromkeys(qs, 0)
@@ -217,9 +218,7 @@ def check_ordinary_expansions(n: int, pairs: list[tuple[int, int]]) -> CheckRepo
     """Subset expansion == stable-partition falling-factorial expansion ==
     direct coloring counts, for an ordinary multigraph."""
     whitney = ordinary_chromatic_poly(n, pairs)
-    stable_sum = Poly2.zero()
-    for pi in stable_partitions(n, pairs):
-        stable_sum = stable_sum + falling_factorial(len(pi))
+    stable_sum = _product_sum((1, range(len(pi))) for pi in stable_partitions(n, pairs))
     neutral = IntegralGainGraph(n, [(a, b, 0) for a, b in pairs])
     counts = {q: count_integral_colorings(neutral, q) for q in range(n + 3)}
     evals = {q: whitney.evaluate(q) for q in range(n + 3)}
@@ -270,8 +269,7 @@ def check_neutral_subset_reduction(
 
     A subset and its closure give the same minor, so the two sums are equal
     as combinations; the flat form is evaluated only where they are not."""
-    _check_selector(selector)
-    sq = list(sample_q if sample_q is not None else default_sample_q(g.n))
+    sq = _sample(selector, sample_q, default_sample_q(g.n))
     subsets, flats = _neutral_combinations(g)
     report = _relations(
         "neutral-subset-reduction", _describe(g), selector, [({g: 1}, subsets)], sq, max_edges
@@ -305,8 +303,7 @@ def check_stable_partition_reduction(
     at once when over max_edges, before any partition is walked."""
     if not g.has_neutral_loop():
         _guard(g.add_neutral_complete(), max_edges)
-    _check_selector(selector)
-    sq = list(sample_q if sample_q is not None else default_sample_q(g.n))
+    sq = _sample(selector, sample_q, default_sample_q(g.n))
     return _relations(
         "stable-partition-reduction", _describe(g), selector, [({g: 1}, _stable_minors(g))], sq, max_edges
     )
@@ -335,8 +332,7 @@ def check_partition_complete_reduction(
     if g.neutral_indices():
         raise NeutralEdgePresent("the complete-graph reduction needs a gain-0-free graph")
     _guard(g.add_neutral_complete(), max_edges)
-    _check_selector(selector)
-    sq = list(sample_q if sample_q is not None else default_sample_q(g.n))
+    sq = _sample(selector, sample_q, default_sample_q(g.n))
     return _relations("partition-complete-reduction", _describe(g), selector, _complete_sides(g), sq, max_edges)
 
 
@@ -353,9 +349,7 @@ def check_catalan_hollow_relations(
     nonzero-gain loops; mod q that needs q >= 2 (mod 1 every loop is neutral),
     hence the modular default sample starts at 2.
     """
-    _check_selector(selector)
-    default_lo = 2 if selector == "modular" else 0
-    sq = list(sample_q if sample_q is not None else range(default_lo, n + 4))
+    sq = _sample(selector, sample_q, range(2 if selector == "modular" else 0, n + 4))
     orders = range(1, n + 1)
     catalans = _combine((catalan_graph(j), stirling2(n, j)) for j in orders)
     hollows = _combine((hollow_catalan_graph(j), stirling1_signed(n, j)) for j in orders)
@@ -375,9 +369,7 @@ def check_linial_partition_expansion(
     The expansion drops gain-1 loops, so the modular default sample starts at
     q = 2 (mod 1 every loop is neutral and the hypothesis fails).
     """
-    _check_selector(selector)
-    default_lo = 2 if selector == "modular" else 0
-    sq = list(sample_q if sample_q is not None else range(default_lo, n + 4))
+    sq = _sample(selector, sample_q, range(2 if selector == "modular" else 0, n + 4))
     partitions = _combine((sc_partition_graph(pi), 1) for pi in set_partitions(n))
     sides = [({FAMILY_BUILDERS["linial"](n): 1}, partitions)]
     instance = f"n={n}, {selector}"

@@ -9,6 +9,11 @@ over the counting code; ``Poly1`` is an alias documenting that convention.
 Rendering uses graded-lex term order (total degree, then q-degree, both
 descending), e.g. ``q^2 - 3*q + 2*z``, and ``parse_poly`` reads that format
 back losslessly.
+
+Every closed form in q is a sum of weighted products of linear factors,
+w * prod_i (q - r_i).  ``_product_sum`` expands such a sum from its
+(w, roots) terms; ``falling_factorial`` is the one term with roots
+shift, shift+1, ..., shift+m-1.
 """
 
 from __future__ import annotations
@@ -173,15 +178,29 @@ Z = Poly2({(0, 1): 1})
 ONE = Poly2.const(1)
 
 
+def _product_sum(terms: Iterable[tuple[int, Iterable[int]]]) -> Poly1:
+    """sum of w * prod_{r in roots} (q - r) over the (w, roots) terms.
+
+    Each product is expanded on one coefficient list, scaled by its weight
+    into a running list, and the sum is wrapped in a Poly2 once; every
+    closed form of the package is built here."""
+    total: list[int] = []  # total[k] is the coefficient of q^k
+    for w, roots in terms:
+        coeffs = [1]
+        for root in roots:
+            # times (q - root): q^k takes the old q^(k-1) less root times the old q^k
+            coeffs = [lower - root * same for lower, same in zip([0, *coeffs], [*coeffs, 0])]
+        total += [0] * (len(coeffs) - len(total))
+        for k, c in enumerate(coeffs):
+            total[k] += w * c
+    return Poly2._of({(k, 0): c for k, c in enumerate(total) if c})
+
+
 def falling_factorial(m: int, shift: int = 0) -> Poly1:
     """(q - shift)_m = (q-shift)(q-shift-1)...(q-shift-m+1); the empty product 1 for m = 0."""
     if m < 0:
         raise ValueError("falling factorial needs m >= 0")
-    coeffs = [1]  # coeffs[k] is the coefficient of q^k
-    for root in range(shift, shift + m):
-        # times (q - root): q^k takes the old q^(k-1) less root times the old q^k
-        coeffs = [lower - root * same for lower, same in zip([0, *coeffs], [*coeffs, 0])]
-    return Poly2._of({(k, 0): c for k, c in enumerate(coeffs) if c})
+    return _product_sum([(1, range(shift, shift + m))])
 
 
 def format_poly(p: Poly2) -> str:

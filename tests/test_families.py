@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from itertools import combinations
 
 import pytest
@@ -13,7 +14,7 @@ from gainchrom.chromatic import (
     region_count,
     zero_free_poly,
 )
-from gainchrom.combinatorics import SimpleGraph, set_partitions
+from gainchrom.combinatorics import SimpleGraph, descending_path_partitions, lower_degrees, set_partitions, stirling2
 from gainchrom.families import (
     FAMILY_CLOSED_FORMS,
     catalan_closed_forms,
@@ -33,7 +34,7 @@ from gainchrom.families import (
     shi_closed_forms,
     shi_graph,
 )
-from gainchrom.poly import Q, Poly2
+from gainchrom.poly import ONE, Q, Poly2
 
 
 def test_builders():
@@ -234,6 +235,55 @@ def test_linial_closed_forms_sum_the_partition_forms():
         forms = linial_closed_forms(n)
         assert (forms.integral, forms.zero_free, forms.modular) == (integral, zero_free, zero_free)
         assert (forms.integral_min_q, forms.modular_min_q) == (n - 1, n)
+
+
+def _linear_product(roots) -> Poly2:
+    out = ONE
+    for r in roots:
+        out = out * (Q - r)
+    return out
+
+
+def _falling(m: int, shift: int) -> Poly2:
+    """(q - shift)_m multiplied out factor by factor."""
+    return _linear_product(range(shift, shift + m))
+
+
+def test_closed_forms_match_their_printed_formulas():
+    # each docstring's formula multiplied out with plain Poly2 products, far
+    # past the oracle tests' n <= 4, pins the zero-free forms derived term by
+    # term; the Linial forms are the partition sums of the sc partition forms
+    for n in range(1, 13):
+        shi = shi_closed_forms(n)
+        assert shi.integral == (Q - (n - 1)) ** n
+        assert shi.zero_free == shi.modular == Q * (Q - n) ** (n - 1)
+        catalan = catalan_closed_forms(n)
+        assert catalan.integral == _falling(n, n - 1)
+        assert catalan.zero_free == catalan.modular == Q * _falling(n - 1, n + 1)
+        hollow = hollow_catalan_closed_forms(n)
+        orders = range(1, n + 1)
+        assert hollow.integral == sum((stirling2(n, j) * _falling(j, j - 1) for j in orders), Poly2.zero())
+        zero_free = Q * sum((stirling2(n, j) * _falling(j - 1, j + 1) for j in orders), Poly2.zero())
+        assert hollow.zero_free == hollow.modular == zero_free
+        for forms in (shi, catalan, hollow):
+            assert (forms.integral_min_q, forms.modular_min_q) == (n - 1, n + 1)
+    rng = random.Random(2010)
+    for _ in range(80):
+        n = rng.randint(1, 7)
+        minus = SimpleGraph.from_pairs(n, [e for e in combinations(range(1, n + 1), 2) if rng.random() < 0.5])
+        p = descending_path_partitions(minus.complement())
+        forms = sc_path_closed_forms(minus)
+        assert forms.integral == sum((p[r] * _falling(r, n - 1) for r in range(1, n + 1)), Poly2.zero())
+        zero_free = Q * sum((p[r] * _falling(r - 1, n + 1) for r in range(1, n + 1)), Poly2.zero())
+        assert forms.zero_free == forms.modular == zero_free, minus
+        assert (forms.integral_min_q, forms.modular_min_q) == (n - 1, n + 1)
+    for m in range(1, 7):
+        for pi in set_partitions(m):
+            k, d = len(pi), lower_degrees(pi)
+            forms = sc_partition_closed_forms(pi)
+            assert forms.integral == _linear_product([k - 1 + di for di in d])
+            assert forms.zero_free == forms.modular == Q * _linear_product([k + di for di in d[1:]]), pi
+            assert (forms.integral_min_q, forms.modular_min_q) == (k - 1 + max(d), k + max(d))
 
 
 def test_linial_athanasiadis():

@@ -333,6 +333,15 @@ def test_induced_and_disjoint_union():
     pair = shi_graph(1).disjoint_union(linial_graph(2))
     assert pair.n == 3
     assert pair.edges == ((2, 3, 1),)
+    two = IntegralGainGraph(2, [(1, 2, 1)])
+    assert two.induced([2, 1, 2]) == two and two.induced([]) == IntegralGainGraph(0)
+    for bad in ([1, 99], [0, 1, 2], [-1]):
+        with pytest.raises(ValueError, match="vertices must lie in 1..2"):
+            two.induced(bad)
+    assert two.delete_edges([0, 0]) == IntegralGainGraph(2) and two.delete_edges([]) == two
+    for bad in ([5], [1], [-1, 0]):
+        with pytest.raises(ValueError, match=r"edge indices must lie in range\(1\)"):
+            two.delete_edges(bad)
 
 
 def test_dict_round_trip_and_canonicalization_on_load():

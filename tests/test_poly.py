@@ -11,6 +11,7 @@ from gainchrom.poly import (
     Poly2,
     Q,
     Z,
+    _product_sum,
     falling_factorial,
     format_poly,
     parse_poly,
@@ -88,13 +89,30 @@ def test_falling_factorial():
 
 
 def test_falling_factorial_is_its_product():
-    # built on one coefficient list; the definition multiplies Poly2 factors
+    # both are built on one coefficient list; the definition multiplies Poly2 factors
+    def product(w, roots):
+        out = Poly2.const(w)
+        for r in roots:
+            out = out * (Q - r)
+        return out
+
     for m in range(9):
         for shift in range(-3, 6):
-            product = ONE
-            for i in range(m):
-                product = product * (Q - (shift + i))
-            assert falling_factorial(m, shift) == product, (m, shift)
+            assert falling_factorial(m, shift) == product(1, range(shift, shift + m)), (m, shift)
+    rng = random.Random(25)
+    for _ in range(300):
+        terms = [
+            (rng.randint(-5, 5), [rng.randint(-4, 6) for _ in range(rng.randint(0, 5))])
+            for _ in range(rng.randint(0, 4))
+        ]
+        assert _product_sum(terms) == sum((product(w, roots) for w, roots in terms), Poly2.zero()), terms
+    assert _product_sum([]) == Poly2.zero()
+    assert _product_sum([(7, [])]) == Poly2.const(7)
+    assert _product_sum([(0, [1, 2]), (3, [])]) == Poly2.const(3)
+    cancelled = _product_sum([(2, [1, -1]), (-2, [-1, 1]), (1, []), (-1, [])])
+    assert cancelled == Poly2.zero() and cancelled._terms == {}
+    # (q - 1)(q + 1) - q^2 leaves only the constant
+    assert _product_sum([(1, [1, -1]), (-1, [0, 0])])._terms == {(0, 0): -1}
 
 
 def _factorial(m: int) -> int:
