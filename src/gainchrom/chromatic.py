@@ -431,18 +431,6 @@ def _terms(g: IntegralGainGraph | ModularGainGraph, max_edges: int, rule: _Rule)
     return value
 
 
-def _expand_subsets(
-    g: IntegralGainGraph | ModularGainGraph, max_edges: int, balanced_only: bool
-) -> Poly2:
-    """Signed counts of (balanced components, unbalanced components) over subsets.
-
-    Computed by memoised deletion-contraction, never by walking the subsets.
-    With ``balanced_only`` the nonzero loops are dropped, since no balanced
-    subset holds one.
-    """
-    return Poly2._of(_terms(g, max_edges, _subset_rule(getattr(g, "modulus", None), not balanced_only)))
-
-
 def total_poly(g: IntegralGainGraph | ModularGainGraph, max_edges: int = DEFAULT_MAX_EDGES) -> Poly2:
     """The bivariate subset-expansion polynomial; q counts balanced components,
     z the unbalanced ones.  Computed by memoised deletion-contraction, whose
@@ -451,31 +439,24 @@ def total_poly(g: IntegralGainGraph | ModularGainGraph, max_edges: int = DEFAULT
     to a bounded number of entries; it keeps each graph's finished
     polynomial too, so a repeated or switched graph costs one normalisation
     and one lookup."""
-    return _expand_subsets(g, max_edges, balanced_only=False)
+    return Poly2._of(_terms(g, max_edges, _subset_rule(getattr(g, "modulus", None), True)))
 
 
 def zero_free_poly(g: IntegralGainGraph | ModularGainGraph, max_edges: int = DEFAULT_MAX_EDGES) -> Poly2:
     """The z = 0 slice of total_poly: the sum over balanced subsets only."""
-    return _expand_subsets(g, max_edges, balanced_only=True)
-
-
-def _integral_terms(g: IntegralGainGraph, max_edges: int) -> Terms:
-    """The integral count as sorted widths ws -> c, meaning the sum of
-    c * prod(max(0, q - w) for w in ws), by deletion-contraction on widths.
-
-    A nonzero loop never binds, so it is dropped; a gain-0 loop leaves no
-    colouring.  The sum is exact at every q >= 0, and a polynomial in q from
-    the largest width on.
-    """
-    return _terms(g, max_edges, _WIDTHS)
+    return Poly2._of(_terms(g, max_edges, _subset_rule(getattr(g, "modulus", None), False)))
 
 
 def integral_count(g: IntegralGainGraph, q: int, max_edges: int = DEFAULT_MAX_EDGES) -> int:
     """count_integral_colorings(g, q) by memoised deletion-contraction, at
-    any q; guarded by max_edges like the polynomial functions."""
+    any q; guarded by max_edges like the polynomial functions.  The engine's
+    terms map sorted widths ws to c, meaning c * prod(max(0, q - w) for w in
+    ws); a nonzero loop never binds and is dropped, and a gain-0 loop leaves
+    no colouring.  The sum is exact at every q >= 0, and a polynomial in q
+    from the largest width on."""
     if q < 0:
         raise ValueError("q must be nonnegative")
-    return sum(c * prod(max(0, q - w) for w in ws) for ws, c in _integral_terms(g, max_edges).items())
+    return sum(c * prod(max(0, q - w) for w in ws) for ws, c in _terms(g, max_edges, _WIDTHS).items())
 
 
 def chromatic_poly(g: IntegralGainGraph | ModularGainGraph, max_edges: int = DEFAULT_MAX_EDGES) -> Poly2:

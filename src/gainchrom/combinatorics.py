@@ -62,11 +62,6 @@ def normalize_partition(blocks: Iterable[Iterable[int]]) -> SetPartition:
     return tuple(out)
 
 
-def is_partition_of(pi: SetPartition, n: int) -> bool:
-    flat = sorted(v for b in pi for v in b)
-    return flat == list(range(1, n + 1))
-
-
 def bell_number(n: int) -> int:
     return sum(stirling2(n, k) for k in range(n + 1))
 

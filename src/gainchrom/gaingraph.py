@@ -34,7 +34,6 @@ smaller component, so each vertex moves O(log n) times.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
-from itertools import permutations
 
 Edge = tuple[int, int, int]
 
@@ -187,8 +186,15 @@ class IntegralGainGraph:
 
     def underlying_pairs(self, indices: Iterable[int] | None = None) -> list[tuple[int, int]]:
         """Endpoint pairs (gains dropped), loops included."""
-        idx = range(len(self.edges)) if indices is None else indices
+        idx = range(len(self.edges)) if indices is None else self._indices(indices)
         return [(self.edges[i][0], self.edges[i][1]) for i in idx]
+
+    def _indices(self, indices: Iterable[int]) -> tuple[int, ...]:
+        """``indices`` in order; ValueError unless each is in range(len(edges))."""
+        idx = tuple(indices)
+        if idx and (min(idx) < 0 or max(idx) >= len(self.edges)):
+            raise ValueError(f"edge indices must lie in range({len(self.edges)})")
+        return idx
 
     # -- component / balance machinery ---------------------------------------
     # Each query builds one _GainDSU over the selected edges; contraction
@@ -197,7 +203,7 @@ class IntegralGainGraph:
     def _dsu(self, indices: Iterable[int] | None) -> _GainDSU:
         """The potential union-find of (V, selected edges)."""
         dsu = _GainDSU(self.n)
-        for i in range(len(self.edges)) if indices is None else indices:
+        for i in range(len(self.edges)) if indices is None else self._indices(indices):
             dsu.add_edge(*self.edges[i])
         return dsu
 
@@ -248,6 +254,8 @@ class IntegralGainGraph:
                 if v not in eta:
                     raise ValueError(f"switching function undefined on vertex {v}")
                 values[v] = eta[v]
+            if len(eta) != self.n:
+                raise ValueError(f"switching function defined outside 1..{self.n}")
         else:
             if len(eta) != self.n:
                 raise ValueError("switching sequence must list a value per vertex")
@@ -255,9 +263,7 @@ class IntegralGainGraph:
         return IntegralGainGraph._of(self.n, [(t, h, -values[t] + g + values[h]) for t, h, g in self.edges])
 
     def delete_edges(self, indices: Iterable[int]) -> "IntegralGainGraph":
-        drop = set(indices)
-        if drop and (min(drop) < 0 or max(drop) >= len(self.edges)):
-            raise ValueError(f"edge indices must lie in range({len(self.edges)})")
+        drop = set(self._indices(indices))
         keep = [e for i, e in enumerate(self.edges) if i not in drop]
         return IntegralGainGraph._of(self.n, keep)
 
@@ -283,10 +289,11 @@ class IntegralGainGraph:
         The contracted vertices are ordered by least original vertex.
         """
         drop = frozenset(indices)
+        dsu = self._dsu(drop)  # checks the indices
         for i in drop:
             if self.edges[i][2] != 0:
                 raise NonNeutralEdgeInSet(f"edge {self.edges[i]} has nonzero gain")
-        return self._contract_blocks(self._dsu(drop).components(), drop)
+        return self._contract_blocks(dsu.components(), drop)
 
     def contract_balanced_set(self, indices: Iterable[int]) -> "IntegralGainGraph":
         """Contract a balanced edge set by first switching it neutral.
@@ -295,7 +302,7 @@ class IntegralGainGraph:
         nonnegative elsewhere, so the result does not depend on which vertex
         the union-find made each component's root.
         """
-        indices = tuple(indices)  # union order picks the roots
+        indices = tuple(indices)  # union order picks the roots; _dsu checks them
         dsu = self._dsu(indices)
         comps = dsu.components()
         pot = dsu.pot
@@ -351,20 +358,6 @@ class IntegralGainGraph:
         shift = self.n
         edges = self.edges + tuple((t + shift, h + shift, g) for t, h, g in other.edges)
         return IntegralGainGraph._of(self.n + other.n, edges)
-
-    def canonical_iso_key(self) -> tuple:
-        """Least relabelled edge tuple over all vertex permutations (small n only)."""
-        if self.n > 8:
-            raise ValueError("isomorphism canonicalization is exponential; n > 8 refused")
-        best = None
-        for images in permutations(range(1, self.n + 1)):
-            perm = {v: images[v - 1] for v in range(1, self.n + 1)}
-            relabelled = tuple(
-                sorted(_canonical_edge(self.n, perm[t], perm[h], g) for t, h, g in self.edges)
-            )
-            if best is None or relabelled < best:
-                best = relabelled
-        return (self.n, best)
 
     def reduce_mod(self, modulus: int) -> "ModularGainGraph":
         return ModularGainGraph(self.n, self.edges, modulus)

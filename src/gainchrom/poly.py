@@ -262,7 +262,3 @@ def parse_poly(text: str) -> Poly2:
 def poly_to_term_list(p: Poly2) -> list[dict[str, int]]:
     """JSON-friendly term list in canonical order."""
     return [{"dq": dq, "dz": dz, "c": c} for (dq, dz), c in p.items()]
-
-
-def poly_from_term_list(terms: Iterable[Mapping[str, int]]) -> Poly2:
-    return Poly2({(int(t["dq"]), int(t["dz"])): int(t["c"]) for t in terms})

@@ -9,8 +9,9 @@ from itertools import combinations, product
 import pytest
 
 from gainchrom.chromatic import (
+    _WIDTHS,
     TooManyEdges,
-    _integral_terms,
+    _terms,
     chromatic_poly,
     count_integral_colorings,
     count_modular_colorings,
@@ -162,7 +163,7 @@ def test_integral_engine_without_widths_is_zero_free():
     # every factor max(0, q - w) read as q: the widths are all the engine adds
     for g in _random_graphs(47, 40, 5):
         dropped: dict = {}
-        for widths, c in _integral_terms(g, 26).items():
+        for widths, c in _terms(g, 26, _WIDTHS).items():
             dropped[len(widths), 0] = dropped.get((len(widths), 0), 0) + c
         assert Poly2(dropped) == zero_free_poly(g), g.edges
 
@@ -172,7 +173,7 @@ def test_integral_engine_threshold_is_the_closed_form_threshold(family):
     for n in range(1, 7):
         g = FAMILY_BUILDERS[family](n)
         forms = FAMILY_CLOSED_FORMS[family](n)
-        terms = _integral_terms(g, len(g.edges))
+        terms = _terms(g, len(g.edges), _WIDTHS)
         threshold = max(max(widths, default=0) for widths in terms)
         assert threshold == forms.integral_min_q, (family, n)
         for q in range(threshold, threshold + 5):

@@ -18,7 +18,9 @@ from gainchrom.chromatic import count_integral_colorings, count_modular_coloring
 from gainchrom.cli import main, parse_partition
 from gainchrom.families import hollow_catalan_graph, linial_closed_forms
 from gainchrom.gaingraph import IntegralGainGraph
-from gainchrom.poly import parse_poly, poly_from_term_list
+from gainchrom.poly import parse_poly
+
+from test_poly import poly_from_term_list
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str]:

@@ -20,7 +20,6 @@ from gainchrom.combinatorics import (
     descending_path_partitions,
     flat_mobius,
     is_increasing_lds,
-    is_partition_of,
     is_vertex_order_lds,
     lower_degrees,
     normalize_partition,
@@ -32,6 +31,10 @@ from gainchrom.combinatorics import (
     stirling1_signed,
     stirling2,
 )
+
+
+def is_partition_of(pi, n: int) -> bool:
+    return sorted(v for b in pi for v in b) == list(range(1, n + 1))
 
 
 def independent_bell(n: int) -> int:

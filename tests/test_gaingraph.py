@@ -18,6 +18,7 @@ from gainchrom.gaingraph import (
     _GainDSU,
 )
 from gainchrom.identities import fixture_corpus
+from gainchrom.poly import Q
 
 
 def test_canonical_storage():
@@ -344,6 +345,25 @@ def test_induced_and_disjoint_union():
             two.delete_edges(bad)
 
 
+def test_every_method_that_takes_edge_indices_refuses_one_out_of_range():
+    # -1 used to count from the end: contracting [-1] contracted edge 2 but
+    # kept it as a gain-0 loop, whose zero-free polynomial is 0
+    g = IntegralGainGraph(3, [(1, 2, 0), (2, 3, 0), (1, 3, 1)])
+    assert g.edges == ((1, 2, 0), (1, 3, 1), (2, 3, 0))
+    assert zero_free_poly(g.contract_neutral_set([2])) == Q**2 - 2 * Q
+    assert g.contract_balanced_set([2]) == g.contract_neutral_set([2])
+    takers = (g.delete_edges, g.contract_neutral_set, g.contract_balanced_set, g.is_balanced, g.components_stats,
+              g.underlying_pairs)
+    for method in takers:
+        for bad in ([-1], [3], [2, -3], [0, 3]):
+            with pytest.raises(ValueError, match=r"edge indices must lie in range\(3\)"):
+                method(bad)
+    with pytest.raises(ValueError, match=r"switching function defined outside 1\.\.3"):
+        g.switch({1: 0, 2: 0, 3: 1, 7: 9})
+    with pytest.raises(ValueError, match="switching function undefined on vertex 3"):
+        g.switch({1: 0, 2: 0, 7: 9})
+
+
 def test_dict_round_trip_and_canonicalization_on_load():
     g = IntegralGainGraph.from_dict({"n": 3, "edges": [[3, 1, 2], [2, 2, -1]]})
     assert g.edges == ((1, 3, -2), (2, 2, 1))
@@ -351,14 +371,6 @@ def test_dict_round_trip_and_canonicalization_on_load():
     for bad in ({"n": 2, "edges": [[1, 2, 0.5]]}, {"n": 2, "edges": [[1, 2, True]]}, {"n": 2.0}):
         with pytest.raises(ValueError):
             IntegralGainGraph.from_dict(bad)
-
-
-def test_iso_key():
-    a = IntegralGainGraph(2, [(1, 2, 1)])
-    b = IntegralGainGraph(2, [(1, 2, -1)])
-    c = IntegralGainGraph(2, [(1, 2, 0)])
-    assert a.canonical_iso_key() == b.canonical_iso_key()
-    assert a.canonical_iso_key() != c.canonical_iso_key()
 
 
 def test_modular_reduction():

@@ -15,9 +15,13 @@ from gainchrom.poly import (
     falling_factorial,
     format_poly,
     parse_poly,
-    poly_from_term_list,
     poly_to_term_list,
 )
+
+
+def poly_from_term_list(terms) -> Poly2:
+    """The polynomial of a term list as poly_to_term_list writes it."""
+    return Poly2({(int(t["dq"]), int(t["dz"])): int(t["c"]) for t in terms})
 
 
 def random_poly(rng: random.Random, max_deg: int = 3, max_coeff: int = 4) -> Poly2:

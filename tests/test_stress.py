@@ -1,16 +1,19 @@
 """Randomized differential stress tests for the intricate code paths.
 
 Everything is seeded; the naive reference implementations live in the
-sibling test modules and share no code with the library paths.
+sibling test modules and in perfbench/, and share no code with the library
+paths.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import inspect
 import random
 import sys
 from functools import partial
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 
@@ -27,7 +30,7 @@ from gainchrom.chromatic import (
 from gainchrom.combinatorics import closure
 from gainchrom.gaingraph import IntegralGainGraph, ModularGainGraph, _GainDSU
 from gainchrom.identities import fixture_corpus
-from gainchrom.poly import Q, Z
+from gainchrom.poly import Poly2, Q, Z
 
 from test_chromatic import (
     _naive_stats,
@@ -379,3 +382,31 @@ def test_deep_contraction_needs_no_recursion(labels):
     finally:
         sys.setrecursionlimit(limit)
     assert result == expected
+
+
+def _perfbench(name: str):
+    """perfbench/NAME.py, loaded by path; it imports nothing from gainchrom."""
+    spec = importlib.util.spec_from_file_location(name, Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_engines_at_sizes_the_oracles_cannot_reach():
+    # 8-12 vertices and 14-20 edges, drawn as perfbench draws its graphs.  A
+    # relabelling gives the engines another elimination order and so other
+    # states; a switching alone would meet the first graph's memo entry.
+    # perfbench's dc_total shares no code with the engines and normalises
+    # its states by breadth-first potentials instead.
+    gen, reference = _perfbench("gen"), _perfbench("reference")
+    rng = random.Random(2026)
+    for _ in range(20):
+        n = rng.randint(8, 12)
+        doc = gen.gain_graph(rng, rng, n, rng.randint(14, 20), gain_lo=-3, gain_hi=3)
+        g = IntegralGainGraph(n, doc["edges"])
+        perm = rng.sample(range(1, n + 1), n)
+        relabelled = IntegralGainGraph(n, [(perm[t - 1], perm[h - 1], gain) for t, h, gain in g.edges])
+        moved = relabelled.switch([rng.randint(-3, 3) for _ in range(n)])
+        assert total_poly(moved) == total_poly(g) == Poly2(reference.dc_total(n, moved.edges)), g.edges
+        assert zero_free_poly(moved) == zero_free_poly(g), g.edges
+        assert integral_count(relabelled, 7) == integral_count(g, 7), g.edges

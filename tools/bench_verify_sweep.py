@@ -11,9 +11,8 @@ four sections, each as soon as it is done:
 * ``calls``: how often ``identities`` calls each chromatic function during
   a ``verify`` run, how often the engines enter ``chromatic._solve``, and
   how often gain graphs are built by the validating constructor
-  (``IntegralGainGraph.__init__``), contracted, canonicalised up to
-  isomorphism (``canonical_iso_key``), turned into polynomials by
-  substitution, and how many edges enter the potential union-find
+  (``IntegralGainGraph.__init__``) and contracted, how often polynomials
+  are substituted into, and how many edges enter the potential union-find
   (``_GainDSU.add_edge``), counted by wrapping the names in-process.  The
   counts repeat exactly from run to run.
 * ``outputs``: stdout, stderr and exit code of every perfbench job of
@@ -60,7 +59,6 @@ METHODS = (
     ("IntegralGainGraph", "__init__"),
     ("IntegralGainGraph", "contract_neutral_set"),
     ("IntegralGainGraph", "contract_partition"),
-    ("IntegralGainGraph", "canonical_iso_key"),
     ("_GainDSU", "add_edge"),
     ("Poly2", "substitute_q"),
 )
