@@ -28,9 +28,9 @@ from .chromatic import (
 from .combinatorics import (
     InvalidSequence,
     SimpleGraph,
+    _valid_partition,
     is_increasing_lds,
     is_vertex_order_lds,
-    normalize_partition,
     realize_lds,
 )
 from .families import (
@@ -51,6 +51,9 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_GUARD = 3
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
+
+# The --function choices of poly; eval adds "regions".
+_FUNCTIONS = ("integral", "modular", "zero-free", "chromatic", "total")
 
 
 def _usage_error(message: str) -> "SystemExit":
@@ -77,10 +80,10 @@ def parse_partition(text: str) -> tuple[tuple[int, ...], ...]:
         if not items:
             raise _usage_error(f"empty block in partition {text!r}")
         blocks.append(tuple(int(x) for x in items))
-    flat = sorted(v for b in blocks for v in b)
-    if flat != list(range(1, len(flat) + 1)):
+    try:
+        return _valid_partition(blocks)
+    except ValueError:
         raise _usage_error(f"blocks in {text!r} must partition 1..n")
-    return normalize_partition(blocks)
 
 
 def _load_graph_file(path: str) -> IntegralGainGraph:
@@ -104,11 +107,7 @@ def _load_minus_edges(path: str) -> SimpleGraph:
 
 def _add_source_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--graph", metavar="FILE", help="JSON gain graph file")
-    parser.add_argument(
-        "--family",
-        choices=["catalan", "hollow-catalan", "shi", "linial", "sc"],
-        help="named graph family",
-    )
+    parser.add_argument("--family", choices=[*FAMILY_BUILDERS, "sc"], help="named graph family")
     parser.add_argument("--n", type=int, help="order of the family graph")
     parser.add_argument("--partition", help="partition for --family sc, e.g. '1 3|2 5|4 6'")
     parser.add_argument("--minus-edges", metavar="FILE", help="JSON simple graph for --family sc")
@@ -293,11 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="evaluate a chromatic function at integer points")
     _add_source_args(p_eval)
-    p_eval.add_argument(
-        "--function",
-        required=True,
-        choices=["integral", "modular", "zero-free", "chromatic", "total", "regions"],
-    )
+    p_eval.add_argument("--function", required=True, choices=[*_FUNCTIONS, "regions"])
     p_eval.add_argument("--q", type=int, action="append", help="evaluation point (repeatable)")
     p_eval.add_argument("--z", type=int, help="z value for --function total, default 1")
     p_eval.add_argument("--json", action="store_true")
@@ -305,11 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_poly = sub.add_parser("poly", help="print a chromatic polynomial")
     _add_source_args(p_poly)
-    p_poly.add_argument(
-        "--function",
-        required=True,
-        choices=["integral", "modular", "zero-free", "chromatic", "total"],
-    )
+    p_poly.add_argument("--function", required=True, choices=_FUNCTIONS)
     p_poly.add_argument("--json", action="store_true")
     p_poly.set_defaults(run=_cmd_poly)
 

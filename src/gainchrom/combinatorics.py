@@ -13,6 +13,7 @@ from itertools import combinations
 from math import comb, factorial, prod
 
 from .gaingraph import _GainDSU
+from .poly import _product_sum
 
 SetPartition = tuple[tuple[int, ...], ...]
 
@@ -62,6 +63,15 @@ def normalize_partition(blocks: Iterable[Iterable[int]]) -> SetPartition:
     return tuple(out)
 
 
+def _valid_partition(blocks: Iterable[Iterable[int]]) -> SetPartition:
+    """normalize_partition(blocks), once the blocks are nonempty, disjoint and cover 1..n."""
+    blocks = [tuple(b) for b in blocks]
+    flat = sorted(v for b in blocks for v in b)
+    if not all(blocks) or flat != list(range(1, len(flat) + 1)):
+        raise ValueError(f"blocks {blocks} do not partition 1..n")
+    return normalize_partition(blocks)
+
+
 def bell_number(n: int) -> int:
     return sum(stirling2(n, k) for k in range(n + 1))
 
@@ -81,12 +91,7 @@ def cycle_count(n: int, k: int) -> int:
     first kind): the coefficient of q^k in q(q + 1)...(q + n - 1)."""
     if n < 0 or k < 0:
         raise ValueError("indices must be nonnegative")
-    if k > n:
-        return 0
-    row = [1] + [0] * k  # q^0 .. q^k of the product of the first m factors
-    for m in range(n):
-        row = [m * row[0], *(m * c + lower for c, lower in zip(row[1:], row))]
-    return row[k]
+    return _product_sum([(1, range(0, -n, -1))]).coefficient(k)
 
 
 def stirling1_signed(n: int, k: int) -> int:

@@ -32,10 +32,10 @@ from math import comb, gcd
 from .combinatorics import (
     SetPartition,
     SimpleGraph,
+    _valid_partition,
     cycle_count,
     descending_path_partitions,
     lower_degrees,
-    normalize_partition,
     overlap_graph,
     set_partitions,
     stirling2,
@@ -81,7 +81,7 @@ def sc_graph(minus: SimpleGraph) -> IntegralGainGraph:
 
 def sc_partition_graph(pi: SetPartition) -> IntegralGainGraph:
     """sc graph on the blocks of pi, with -1 edges on overlapping block pairs."""
-    return sc_graph(overlap_graph(pi)[0])
+    return sc_graph(overlap_graph(_valid_partition(pi))[0])
 
 
 # -- closed forms -------------------------------------------------------------------
@@ -144,7 +144,7 @@ def sc_path_closed_forms(minus: SimpleGraph) -> ClosedForms:
 def sc_partition_closed_forms(pi: SetPartition) -> ClosedForms:
     """Forms for sc of the overlap graph of pi, in terms of the lower degrees:
     integral prod_i (q-k+1-d_i), zero-free q prod_{i>=2} (q-k-d_i)."""
-    pi = normalize_partition(pi)
+    pi = _valid_partition(pi)
     k = len(pi)
     if k == 0:
         return ClosedForms(ONE, ONE, ONE, 0, 1)

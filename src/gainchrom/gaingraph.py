@@ -69,7 +69,7 @@ class _GainDSU:
     """Union-find over vertices 1..n with gain potentials.
 
     Every vertex stores its root (``root``) and its potential relative to
-    that root (``pot``), so find(v) is two reads.  A union moves the
+    that root (``pot``), so finding either is one read.  A union moves the
     members of the smaller component under the larger one's root and
     re-bases their potentials, reduced mod ``modulus`` when one is given.
     Every consistent added edge (tail, head, gain) keeps pot[head] -
@@ -89,9 +89,6 @@ class _GainDSU:
         self.mod = modulus
         self.n_comp = n
         self.n_unbal = 0
-
-    def find(self, v: int) -> tuple[int, int]:
-        return self.root[v], self.pot[v]
 
     def add_edge(self, t: int, h: int, gain: int) -> None:
         root, pot = self.root, self.pot

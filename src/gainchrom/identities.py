@@ -143,9 +143,14 @@ def _combine(terms: Iterable[tuple[IntegralGainGraph, int]]) -> _Combination:
     return _add_terms({}, terms)
 
 
-def _sample(selector: str, sample_q: Sequence[int] | None, default: Iterable[int]) -> list[int]:
-    """The q sample of a selector check, sample_q or else the default, once a
-    selector that names no chromatic function is refused, before any work."""
+def _sample(
+    selector: str, sample_q: Sequence[int] | None, default: Iterable[int],
+    largest: IntegralGainGraph | None = None, max_edges: int = DEFAULT_MAX_EDGES,
+) -> list[int]:
+    """The q sample of a selector check, sample_q or else the default, once the largest graph it
+    sums (if given) is guarded and a selector that names no chromatic function is refused."""
+    if largest is not None:
+        _guard(largest, max_edges)
     if selector not in COUNTING_SELECTORS + POLY_SELECTORS:
         raise ValueError(f"unknown selector {selector!r}")
     return list(sample_q if sample_q is not None else default)
@@ -268,8 +273,9 @@ def check_neutral_subset_reduction(
     all gain-0 edges), and the same sum grouped over flats with Mobius weights.
 
     A subset and its closure give the same minor, so the two sums are equal
-    as combinations; the flat form is evaluated only where they are not."""
-    sq = _sample(selector, sample_q, default_sample_q(g.n))
+    as combinations; the flat form is evaluated only where they are not.
+    The graph itself is the largest one summed, refused before any walk."""
+    sq = _sample(selector, sample_q, default_sample_q(g.n), g, max_edges)
     subsets, flats = _neutral_combinations(g)
     report = _relations(
         "neutral-subset-reduction", _describe(g), selector, [({g: 1}, subsets)], sq, max_edges
@@ -298,12 +304,11 @@ def check_stable_partition_reduction(
     max_edges: int = DEFAULT_MAX_EDGES,
 ) -> CheckReport:
     """F(graph) == sum over stable partitions pi of the gain-0 subgraph of
-    F(graph/pi with the complete gain-0 graph added).  Unless a gain-0 loop
-    leaves no stable partition, the sum holds graph + K, which is refused
-    at once when over max_edges, before any partition is walked."""
-    if not g.has_neutral_loop():
-        _guard(g.add_neutral_complete(), max_edges)
-    sq = _sample(selector, sample_q, default_sample_q(g.n))
+    F(graph/pi with the complete gain-0 graph added).  The largest graph
+    summed, graph + K or, when a gain-0 loop leaves no stable partition, the
+    graph itself, is refused at once when over max_edges, before any walk."""
+    largest = g if g.has_neutral_loop() else g.add_neutral_complete()
+    sq = _sample(selector, sample_q, default_sample_q(g.n), largest, max_edges)
     return _relations(
         "stable-partition-reduction", _describe(g), selector, [({g: 1}, _stable_minors(g))], sq, max_edges
     )
@@ -331,8 +336,7 @@ def check_partition_complete_reduction(
     graph + complete part is refused at once when over max_edges."""
     if g.neutral_indices():
         raise NeutralEdgePresent("the complete-graph reduction needs a gain-0-free graph")
-    _guard(g.add_neutral_complete(), max_edges)
-    sq = _sample(selector, sample_q, default_sample_q(g.n))
+    sq = _sample(selector, sample_q, default_sample_q(g.n), g.add_neutral_complete(), max_edges)
     return _relations("partition-complete-reduction", _describe(g), selector, _complete_sides(g), sq, max_edges)
 
 
@@ -405,13 +409,14 @@ def _vertex_split(g: IntegralGainGraph, outside: Callable[[list[int]], Poly2], m
 
 def check_total_split(g: IntegralGainGraph, max_edges: int = DEFAULT_MAX_EDGES) -> CheckReport:
     """total(q, z) == sum over vertex subsets W of
-    ordinary_chromatic(underlying graph on V-W)(z) * zero_free(g|W)(q - z)."""
+    ordinary_chromatic(underlying graph on V-W)(z) * zero_free(g|W)(q - z).
+    total(g) comes first, so g over max_edges is refused before any walk."""
 
     def outside(rest: list[int]) -> Poly2:
         return _chromatic_in_z(len(rest), tuple(g.induced(rest).underlying_pairs()))
 
-    rhs = _vertex_split(g, outside, max_edges)
-    return _report("total-split", _describe(g), total_poly(g, max_edges), rhs)
+    lhs = total_poly(g, max_edges)
+    return _report("total-split", _describe(g), lhs, _vertex_split(g, outside, max_edges))
 
 
 def check_total_uniform(family: str, n: int, max_edges: int = DEFAULT_MAX_EDGES) -> CheckReport:
@@ -447,10 +452,11 @@ def check_disjoint_union_product(
 
 def check_modular_threshold(g: IntegralGainGraph, span: int = 4, max_edges: int = DEFAULT_MAX_EDGES) -> CheckReport:
     """Modular counts equal the zero-free polynomial for q above the largest
-    circle gain.  The value at the threshold itself is recorded, not asserted."""
+    circle gain.  The value at the threshold itself is recorded, not asserted.
+    The zero-free polynomial comes first, so g over max_edges is refused before any walk."""
+    zf = zero_free_poly(g, max_edges)
     top = g.max_circle_gain()
     start = (top if top is not None else 0) + 1
-    zf = zero_free_poly(g, max_edges)
     lhs = {q: _count("modular", g, q) for q in range(start, start + span)}
     rhs = {q: zf.evaluate(q) for q in range(start, start + span)}
     notes = None
@@ -463,10 +469,10 @@ def check_multizero_agreement(
     g: IntegralGainGraph, modulus: int, k: int, z: int, max_edges: int = DEFAULT_MAX_EDGES
 ) -> CheckReport:
     """Multi-zero coloration count of g mod m equals the total polynomial of
-    g mod m evaluated at (k*m + z, z)."""
+    g mod m evaluated at (k*m + z, z).  It comes first, so g over max_edges is refused before any walk."""
     gm = g.reduce_mod(modulus)
-    lhs = count_multizero_colorings(gm, k, z)
     rhs = total_poly(gm, max_edges).evaluate(k * modulus + z, z)
+    lhs = count_multizero_colorings(gm, k, z)
     instance = f"{_describe(g)} mod {modulus}, k={k}, z={z}"
     return CheckReport("multizero-agreement", instance, lhs == rhs, lhs, rhs)
 

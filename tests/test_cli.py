@@ -404,23 +404,48 @@ def test_verify_reports_failing_checks(monkeypatch, capsys):
         identities._count.cache_clear()
 
 
-@pytest.mark.parametrize("suite", ["second", "complete"])
-def test_verify_graph_refuses_before_walking_partitions(tmp_path, monkeypatch, capsys, suite):
-    # no gain-0 link, so both suites sum the graph plus the 36 gain-0 links
-    # of K_9: 47 edges.  Both refuse before walking any of the Bell(9) = 21,147
-    # partitions, which took seconds, so a walk here fails the test.
-    edges = [[1, 2, 1], [1, 5, 1], [4, 9, 1], [5, 8, 2], [2, 8, 2], [1, 8, -1], [8, 9, -1], [3, 4, 2], [3, 7, 2], [3, 4, -1], [7, 9, -1]]
+# No gain-0 link: the second and complete suites sum the graph plus the 36
+# gain-0 links of K_9, 47 edges.
+_LINKS_9 = {"n": 9, "edges": [[1, 2, 1], [1, 5, 1], [4, 9, 1], [5, 8, 2], [2, 8, 2], [1, 8, -1], [8, 9, -1], [3, 4, 2], [3, 7, 2], [3, 4, -1], [7, 9, -1]]}
+# 28 gain-0 links: every suite that sums it refuses K_8 itself.
+_K8 = {"n": 8, "edges": [[i, j, 0] for i in range(1, 9) for j in range(i + 1, 9)]}
+# A 24-vertex cycle with three chords, 27 edges, none of gain 0: plus K_24 it is 303.
+_P24 = {"n": 24, "edges": [[i, i + 1, 1] for i in range(1, 24)] + [[1, 24, 2], [1, 12, 1], [5, 20, -1], [3, 9, 2]]}
+
+
+@pytest.mark.parametrize(
+    "graph, suite, edges",
+    [
+        pytest.param(_LINKS_9, "second", 47, id="second"),
+        pytest.param(_LINKS_9, "complete", 47, id="complete"),
+        *(pytest.param(_K8, suite, 28, id=f"K8-{suite}") for suite in ("first", "second", "total", "invariance", "all")),
+        *(pytest.param(_P24, suite, 27, id=f"P24-{suite}") for suite in ("first", "total", "invariance", "all")),
+        *(pytest.param(_P24, suite, 303, id=f"P24-{suite}") for suite in ("second", "complete")),
+    ],
+)
+def test_verify_graph_refuses_before_walking_partitions(tmp_path, monkeypatch, capsys, graph, suite, edges):
+    # Each check guards the largest graph it sums before it walks a subset
+    # or a partition or counts a colouring.  Where a check walked first,
+    # K8 and P24 ran past 20 s, so a walk here fails the test.
     path = tmp_path / "graph.json"
-    path.write_text(json.dumps({"n": 9, "edges": edges}))
+    path.write_text(json.dumps(graph))
 
     def walk(*args):
-        raise AssertionError("a partition walk started")
+        raise AssertionError("a walk started")
 
-    monkeypatch.setattr(identities, "stable_partitions", walk)
-    monkeypatch.setattr(identities, "set_partitions", walk)
+    for name in ("stable_partitions", "set_partitions", "combinations", "_flat_weights", "_vertex_split",
+                 "count_integral_colorings", "count_modular_colorings", "count_multizero_colorings"):
+        monkeypatch.setattr(identities, name, walk)
     code = main(["verify", "--suite", suite, "--graph", str(path)])
     captured = capsys.readouterr()
-    assert (code, captured.out, captured.err) == (3, "", "error: 47 edges exceed the expansion bound 26\n")
+    assert (code, captured.out, captured.err) == (3, "", f"error: {edges} edges exceed the expansion bound 26\n")
+
+
+def test_verify_graph_runs_complete_on_k8_with_no_check(tmp_path, capsys):
+    # every link of K_8 has gain 0, so the complete suite skips it
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(_K8))
+    assert run_cli(capsys, "verify", "--suite", "complete", "--graph", str(path)) == (0, "# 0/0 checks passed\n")
 
 
 # sha256 of the full stdout of `verify --suite all --n 2`.  A change of
@@ -710,7 +735,6 @@ def test_parse_partition():
 
 
 def test_parse_partition_rejects_non_partitions(capsys):
-    code, _ = run_cli(
-        capsys, "eval", "--family", "sc", "--partition", "1 3|3 5", "--function", "integral", "--q", "3"
-    )
-    assert code == 2
+    for text in ("1 3|3 5", "1 1 2", "1 2|4"):
+        code = main(["eval", "--family", "sc", "--partition", text, "--function", "integral", "--q", "3"])
+        assert (code, capsys.readouterr().err) == (2, f"error: blocks in {text!r} must partition 1..n\n")

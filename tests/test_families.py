@@ -164,6 +164,17 @@ def test_sc_partition_closed_forms():
     assert forms.zero_free == catalan_closed_forms(2).zero_free
 
 
+@pytest.mark.parametrize(
+    "blocks", [((1, 3), (2, 3)), ((1, 1, 2),), ((1, 2), (4,)), ((1,), ()), [[2], [3]]],
+    ids=["overlapping", "repeated", "gap", "empty-block", "no-1"],
+)
+def test_sc_partition_forms_refuse_non_partitions(blocks):
+    # ((1, 3), (2, 3)) once got the integral form q^2 - 3q + 2 and a 2-vertex graph
+    for build in (sc_partition_graph, sc_partition_closed_forms):
+        with pytest.raises(ValueError, match=r"do not partition 1\.\.n$"):
+            build(blocks)
+
+
 def test_sc_partition_oracle():
     for pi in set_partitions(4):
         forms = sc_partition_closed_forms(pi)

@@ -119,16 +119,43 @@ def test_partition_complete_reduction():
         check_partition_complete_reduction(shi_graph(2), "integral", [3])
 
 
-@pytest.mark.parametrize("check", [check_stable_partition_reduction, check_partition_complete_reduction])
+_K8 = IntegralGainGraph(8, [(i, j, 0) for i in range(1, 9) for j in range(i + 1, 9)])
+
+
+@pytest.mark.parametrize(
+    "check", [check_neutral_subset_reduction, check_stable_partition_reduction, check_partition_complete_reduction]
+)
 @pytest.mark.parametrize("selector", ["integral", "modular", "zero_free", "total"])
 def test_partition_reductions_refuse_before_walking(monkeypatch, check, selector):
+    # the largest graph the first reduction sums is the graph itself, here
+    # K_8 with 28 gain-0 links; the other two sum 11 links plus K_9's 36
     def walk(*args):
-        raise AssertionError("a partition walk started")
+        raise AssertionError("a subset or partition walk started")
 
-    monkeypatch.setattr(identities, "stable_partitions", walk)
-    monkeypatch.setattr(identities, "set_partitions", walk)
-    with pytest.raises(TooManyEdges, match="^47 edges exceed the expansion bound 26$"):
-        check(IntegralGainGraph(9, _LINKS_9), selector)
+    for name in ("stable_partitions", "set_partitions", "combinations", "_flat_weights", "count_integral_colorings",
+                 "count_modular_colorings"):
+        monkeypatch.setattr(identities, name, walk)
+    g, edges = (_K8, 28) if check is check_neutral_subset_reduction else (IntegralGainGraph(9, _LINKS_9), 47)
+    with pytest.raises(TooManyEdges, match=f"^{edges} edges exceed the expansion bound 26$"):
+        check(g, selector)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [check_total_split, check_modular_threshold, lambda g: check_multizero_agreement(g, 3, 1, 1)],
+    ids=["total-split", "modular-threshold", "multizero-agreement"],
+)
+def test_engine_checks_refuse_before_walking(monkeypatch, check):
+    # each computes its guarded engine value before it walks vertex subsets,
+    # circles or colourings
+    def walk(*args):
+        raise AssertionError("a walk started")
+
+    for name in ("_vertex_split", "count_modular_colorings", "count_multizero_colorings"):
+        monkeypatch.setattr(identities, name, walk)
+    monkeypatch.setattr(IntegralGainGraph, "max_circle_gain", walk)
+    with pytest.raises(TooManyEdges, match="^28 edges exceed the expansion bound 26$"):
+        check(_K8)
 
 
 _NO_NEUTRAL = IntegralGainGraph(3, [(1, 2, 1), (2, 3, -1)])

@@ -318,7 +318,7 @@ def _state_adding_every_link(links: frozenset, labels: tuple, rule) -> tuple:
         ordered = sorted(links)
         for t, h, gain in ordered:
             dsu.add_edge(t, h, gain)
-        pot = [dsu.find(v)[1] for v in range(n + 1)]
+        pot = dsu.pot
         links = frozenset(chromatic._link(t, h, gain - pot[h] + pot[t], rule.modulus) for t, h, gain in ordered)
     return labels[n + 1 :], (n, links, labels[: n + 1])
 
