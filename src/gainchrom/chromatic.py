@@ -28,10 +28,12 @@ a contracted circle of nonzero gain flags its vertex (Zaslavsky's
 unbalanced contraction), and a vertex left without links contributes q, or
 q - z when flagged; the zero-free variant drops the nonzero loops, which no
 balanced subset holds.  Their states are memoised after switching a
-spanning forest of each to gain 0 with the potential union-find of
-gaingraph.py (``_GainDSU``), in the manner of Haggard, Pearce and Royle
-("Computing Tutte polynomials", 2010).  For the integral count the label is
-the width of the offset interval its merged vertices span, so a vertex has
+spanning forest of each to gain 0, in the manner of Haggard, Pearce and
+Royle ("Computing Tutte polynomials", 2010); ``_state`` finds the forest
+and its potentials in one pass of union by size over local lists.
+Contractions that give one graph are normalised once, and equal children
+are summed under one coefficient.  For the integral count the label is the
+width of the offset interval its merged vertices span, so a vertex has
 max(0, q - width) colours and the count, a sum of products of such factors,
 is exact at every q; it is not switching invariant, so its states are
 memoised unswitched.  The memos are shared by every call, so a switching,
@@ -50,7 +52,7 @@ from collections.abc import Iterator
 from functools import lru_cache
 from math import comb, prod
 
-from .gaingraph import IntegralGainGraph, ModularGainGraph, _GainDSU
+from .gaingraph import IntegralGainGraph, ModularGainGraph
 from .poly import Poly2, _add_terms
 
 
@@ -296,52 +298,85 @@ def _state(links: frozenset, labels: tuple, rule: _Rule) -> tuple:
 
     With ``rule.switch`` the key's links are switched so that a spanning
     forest of them has gain 0: each link's gain becomes gain - pot[h] +
-    pot[t] under the potentials ``dsu.pot`` of the union-find.  Switching
-    changes no subset's balance, so every switching of a state gives one
-    key; links are added in sorted order, so equal inputs give equal
-    forests, and a link's two ends share a component, so the key does not
-    depend on which vertex is its root.  Only the first of each run of
-    parallel links is added, since the key reads only the potentials.
+    pot[t] under potentials that hold pot[h] - pot[t] == gain along the
+    forest.  Switching changes no subset's balance, so every switching of a
+    state gives one key.  The forest takes each link, in sorted order, that
+    joins two components, so equal inputs give equal forests, and a link's
+    two ends share a component, so the key does not depend on which vertex
+    is its root.  One pass over local lists finds it: each component keeps
+    its members, and a joining link moves the smaller one under the
+    larger's root, as ``_GainDSU`` does; a link within a component (a
+    parallel link or a circle) moves no potential.  When no potential
+    moves, the links are their own key.
     """
-    n = max((h for _, h, _ in links), default=0)
-    if n == 0:
+    if not links:
         return labels[1:], _EMPTY
     if rule.switch:
         modulus = rule.modulus
-        dsu = _GainDSU(n, modulus)
+        root = list(range(len(labels)))  # every head has a label
+        pot = [0] * len(labels)
+        members = [[v] for v in root]
+        moved = False
+        n = 0
         ordered = sorted(links)
-        last_t = last_h = 0
         for t, h, gain in ordered:
-            if h != last_h or t != last_t:  # a parallel link joins nothing and moves no potential
-                last_t, last_h = t, h
-                dsu.add_edge(t, h, gain)
-        pot = dsu.pot
-        links = frozenset(_link(t, h, gain - pot[h] + pot[t], modulus) for t, h, gain in ordered)
+            if h > n:
+                n = h
+            rt, rh = root[t], root[h]
+            if rt == rh:
+                continue
+            delta = gain + pot[t] - pot[h]  # rh's potential relative to rt
+            if modulus is not None:
+                delta %= modulus
+            small, large = members[rh], members[rt]
+            if len(small) > len(large):
+                rt, rh, delta, small, large = rh, rt, -delta, large, small
+            for v in small:
+                root[v] = rt
+                pot[v] += delta
+            large += small
+            moved = moved or delta != 0
+        if moved:
+            links = frozenset([_link(t, h, gain - pot[h] + pot[t], modulus) for t, h, gain in ordered])
+    else:
+        n = max(h for _, h, _ in links)
     return labels[n + 1 :], (n, links, labels[: n + 1])
 
 
 def _children(key: tuple, rule: _Rule) -> list[tuple[int, tuple, tuple]]:
-    """(sign, peeled labels, child key) for T(G) = T(G - L_n) - sum T((G - e_1 ... e_(i-1)) / e_i).
+    """(coefficient, peeled labels, child key) for T(G) = T(G - L_n) - sum T((G - e_1 ... e_(i-1)) / e_i).
 
     L_n holds the links e_1 ... e_k at the highest vertex n.  Contracting
     e_i = (t, n, g) fixes n's colour as t's plus g and merges n into t:
     ``rule.merge`` gives t's label and the offset lo it is re-based by,
     which moves every link at t by lo, and a later link (x, n, g') becomes
-    (x, t, g' - g + lo), or a loop at t when x == t.
+    (x, t, g' - g + lo), or a loop at t when x == t.  Contractions at one t
+    with one label, one lo and one shift g - lo of the later links at lesser
+    tails (any shift, where there are none) give one graph, so each such
+    graph is normalised once, and children with equal peeled labels and key
+    are summed.  None sums to 0: every contraction counts -1, and the
+    deletion keeps n's label, so it peels one label more than a contraction
+    child with its key.
     """
     n, links, labels = key
     modulus, _, loops, merge, _, _, _, _ = rule
     at_top = sorted((e for e in links if e[1] == n), reverse=True)
     rest = links.difference(at_top)
-    children = [(1, *_state(rest, labels, rule))]
+    least = at_top[-1][0]  # a memo key has a link at n
+    contracted: dict = {}
     for i, (t, _, gain) in enumerate(at_top):
-        later = at_top[i + 1 :]  # sorted by descending tail, so a later link at t comes first
-        label, lo = merge(labels[t], labels[n], gain, loops and bool(later) and later[0][0] == t)
-        merged = {(a, b, g + lo if b == t else g - lo if a == t else g) for a, b, g in rest} if lo else set(rest)
-        merged.update(_link(x, t, other - gain + lo, modulus) for x, _, other in later if x != t)
-        new_labels = labels[:t] + (label,) + labels[t + 1 : n]
-        children.append((-1, *_state(frozenset(merged), new_labels, rule)))
-    return children
+        # sorted by descending tail, so a later link at t comes next
+        label, lo = merge(labels[t], labels[n], gain, loops and i + 1 < len(at_top) and at_top[i + 1][0] == t)
+        signature = (t, label, lo, gain - lo if t > least else None)
+        contracted[signature] = contracted.get(signature, 0) - 1
+    children = {_state(rest, labels, rule): 1}
+    for (t, label, lo, shift), c in contracted.items():
+        merged = {(a, b, g + lo if b == t else g - lo if a == t else g) for a, b, g in rest} if lo else rest
+        if shift is not None:
+            merged = merged.union([_link(x, t, other - shift, modulus) for x, _, other in at_top if x < t])
+        child = _state(frozenset(merged), labels[:t] + (label,) + labels[t + 1 : n], rule)
+        children[child] = children.get(child, 0) + c
+    return [(c, peeled, child) for (peeled, child), c in children.items()]
 
 
 def _solve(key: tuple, rule: _Rule, memo: dict) -> Terms:
@@ -365,9 +400,9 @@ def _solve(key: tuple, rule: _Rule, memo: dict) -> Terms:
             stack.extend((child, None) for _, _, child in reversed(children) if child not in memo)
             continue
         acc: Terms = {}
-        for sign, peeled, child in children:
+        for coefficient, peeled, child in children:
             terms = (rule.peel(memo[child], peeled) if peeled else memo[child]).items()
-            _add_terms(acc, terms if sign > 0 else ((m, -c) for m, c in terms))
+            _add_terms(acc, terms if coefficient == 1 else ((m, coefficient * c) for m, c in terms))
         memo[top] = acc
         stack.pop()
     return memo[key]

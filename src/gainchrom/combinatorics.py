@@ -13,7 +13,6 @@ from itertools import combinations
 from math import comb, factorial, prod
 
 from .gaingraph import _GainDSU
-from .poly import _product_sum
 
 SetPartition = tuple[tuple[int, ...], ...]
 
@@ -88,10 +87,17 @@ def stirling2(n: int, k: int) -> int:
 
 def cycle_count(n: int, k: int) -> int:
     """Permutations of [n] with k cycles (unsigned Stirling numbers of the
-    first kind): the coefficient of q^k in q(q + 1)...(q + n - 1)."""
+    first kind): the coefficient of q^k in q(q + 1)...(q + n - 1).
+
+    The product is expanded one factor at a time and cut at q^k, since no
+    higher power feeds q^k, so it costs O(n * k) coefficient updates."""
     if n < 0 or k < 0:
         raise ValueError("indices must be nonnegative")
-    return _product_sum([(1, range(0, -n, -1))]).coefficient(k)
+    row = [1] + [0] * k  # row[j] is the coefficient of q^j
+    for i in range(n):
+        # times (q + i): q^j takes the old q^(j-1) plus i times the old q^j
+        row = [i * row[0]] + [lower + i * same for lower, same in zip(row, row[1:])]
+    return row[k]
 
 
 def stirling1_signed(n: int, k: int) -> int:

@@ -24,11 +24,13 @@ around as collections of indices into ``edges`` so that parallel copies
 stay distinguishable.
 
 A switching function is a vertex potential, so balance, components,
-balanced contraction, the subset expansion in chromatic.py and the flat
-closure in combinatorics.py all read one structure: ``_GainDSU``, a
-union-find that stores each vertex's root and its potential relative to
-that root.  Reading either is one list lookup; a union re-roots the
-smaller component, so each vertex moves O(log n) times.
+balanced contraction and the flat closure in combinatorics.py all read one
+structure: ``_GainDSU``, a union-find that stores each vertex's root and
+its potential relative to that root.  Reading either is one list lookup; a
+union re-roots the smaller component, so each vertex moves O(log n) times.
+The subset expansion in chromatic.py normalises its states with the same
+union, written out over local lists in ``_state``, which runs it once per
+distinct child of every state.
 """
 
 from __future__ import annotations

@@ -351,13 +351,16 @@ def check_catalan_hollow_relations(
 
     Both relations drop gain-1 loops, so they hold for functions that ignore
     nonzero-gain loops; mod q that needs q >= 2 (mod 1 every loop is neutral),
-    hence the modular default sample starts at 2.
+    hence the modular default sample starts at 2.  catalan_n has the most
+    edges of the graphs summed, so the guard reads it before any other is
+    built.
     """
-    sq = _sample(selector, sample_q, range(2 if selector == "modular" else 0, n + 4))
+    catalan = catalan_graph(n)
+    sq = _sample(selector, sample_q, range(2 if selector == "modular" else 0, n + 4), catalan, max_edges)
     orders = range(1, n + 1)
     catalans = _combine((catalan_graph(j), stirling2(n, j)) for j in orders)
     hollows = _combine((hollow_catalan_graph(j), stirling1_signed(n, j)) for j in orders)
-    sides = [({hollow_catalan_graph(n): 1}, catalans), ({catalan_graph(n): 1}, hollows)]
+    sides = [({hollow_catalan_graph(n): 1}, catalans), ({catalan: 1}, hollows)]
     instance = f"n={n}, {selector}"
     return _relations("catalan-hollow-relations", instance, selector, sides, sq, max_edges)
 
@@ -371,11 +374,16 @@ def check_linial_partition_expansion(
     """F(linial_n) == sum over partitions pi of [n] of F(sc(overlap graph of pi)).
 
     The expansion drops gain-1 loops, so the modular default sample starts at
-    q = 2 (mod 1 every loop is neutral and the hypothesis fails).
+    q = 2 (mod 1 every loop is neutral and the hypothesis fails).  linial_n is
+    refused before the Bell(n) partitions are walked, and each sc graph
+    before any graph is counted.
     """
-    sq = _sample(selector, sample_q, range(2 if selector == "modular" else 0, n + 4))
+    linial = FAMILY_BUILDERS["linial"](n)
+    sq = _sample(selector, sample_q, range(2 if selector == "modular" else 0, n + 4), linial, max_edges)
     partitions = _combine((sc_partition_graph(pi), 1) for pi in set_partitions(n))
-    sides = [({FAMILY_BUILDERS["linial"](n): 1}, partitions)]
+    for g in partitions:  # one may have more edges than linial_n: 12 against 6 at n = 4
+        _guard(g, max_edges)
+    sides = [({linial: 1}, partitions)]
     instance = f"n={n}, {selector}"
     return _relations("linial-partition-expansion", instance, selector, sides, sq, max_edges)
 

@@ -158,6 +158,29 @@ def test_engine_checks_refuse_before_walking(monkeypatch, check):
         check(_K8)
 
 
+@pytest.mark.parametrize("selector", ["integral", "modular", "zero_free", "total"])
+@pytest.mark.parametrize(
+    "check, n, walks, edges, bound",
+    [
+        (check_catalan_hollow_relations, 6, ("set_partitions",), 45, 32),
+        (check_linial_partition_expansion, 8, ("set_partitions",), 28, 26),
+        # linial_6 has 15 edges; the sc graph of the six singletons has 30
+        (check_linial_partition_expansion, 6, (), 30, 26),
+    ],
+    ids=["catalan-6", "linial-8", "linial-6"],
+)
+def test_family_relations_refuse_before_walking(monkeypatch, check, n, walks, edges, bound, selector):
+    # catalan_n and linial_n are guarded before anything is walked, and the
+    # sc graphs of the Linial expansion before any graph is counted
+    def walk(*args):
+        raise AssertionError("a walk or a count started")
+
+    for name in (*walks, "count_integral_colorings", "count_modular_colorings", "total_poly", "zero_free_poly"):
+        monkeypatch.setattr(identities, name, walk)
+    with pytest.raises(TooManyEdges, match=f"^{edges} edges exceed the expansion bound {bound}$"):
+        check(n, selector)
+
+
 _NO_NEUTRAL = IntegralGainGraph(3, [(1, 2, 1), (2, 3, -1)])
 
 

@@ -325,10 +325,12 @@ def _state_adding_every_link(links: frozenset, labels: tuple, rule) -> tuple:
 
 def _benchmark_shaped(rng: random.Random, n: int, edges: int) -> IntegralGainGraph:
     """Edges as perfbench/gen.py places them: a tenth nonzero loops, a fifth
-    parallel to a link on a distinct pair with another gain, gains in
-    [-2, 2], each edge in a random orientation."""
-    loops, parallel = round(0.1 * edges), round(0.2 * edges)
+    (or as many as the distinct pairs leave) parallel to a link on a
+    distinct pair with another gain, gains in [-2, 2], each edge in a
+    random orientation."""
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    loops = round(0.1 * edges)
+    parallel = max(round(0.2 * edges), edges - loops - len(pairs))
     out = [(i, j, rng.randint(-2, 2)) for i, j in rng.sample(pairs, edges - loops - parallel)]
     for _ in range(parallel):
         i, j, gain = rng.choice(out)
@@ -343,6 +345,8 @@ def test_state_keys_equal_those_of_adding_every_link(monkeypatch):
     # when every link is added
     rng = random.Random(2203)
     graphs = list(fixture_corpus(3)) + [_benchmark_shaped(rng, rng.randint(5, 6), rng.randint(8, 12)) for _ in range(30)]
+    # and two the size of perfbench's regions graphs
+    graphs += [_benchmark_shaped(rng, n, edges) for n, edges in ((6, 27), (7, 28))]
     state = chromatic._state
     with_parallels = 0
 
@@ -356,10 +360,63 @@ def test_state_keys_equal_those_of_adding_every_link(monkeypatch):
     monkeypatch.setattr(chromatic, "_state", checked)
     chromatic._memos.clear()
     for g in graphs:
-        assert zero_free_poly(g) == total_poly(g).substitute_z(0)
-        total_poly(g.reduce_mod(3))
+        assert zero_free_poly(g, 30) == total_poly(g, 30).substitute_z(0)
+        total_poly(g.reduce_mod(3), 30)
     chromatic._memos.clear()
     assert with_parallels > 100
+
+
+def _unfolded_children(key: tuple, rule) -> list:
+    """The reference for chromatic._children: one child per contraction,
+    each normalised on its own, with coefficient 1 for the deletion and -1
+    for each contraction."""
+    n, links, labels = key
+    at_top = sorted((e for e in links if e[1] == n), reverse=True)
+    rest = links.difference(at_top)
+    children = [(1, *chromatic._state(rest, labels, rule))]
+    for i, (t, _, gain) in enumerate(at_top):
+        later = at_top[i + 1 :]
+        label, lo = rule.merge(labels[t], labels[n], gain, rule.loops and bool(later) and later[0][0] == t)
+        merged = {(a, b, g + lo if b == t else g - lo if a == t else g) for a, b, g in rest}
+        merged.update(chromatic._link(x, t, other - gain + lo, rule.modulus) for x, _, other in later if x != t)
+        children.append((-1, *chromatic._state(frozenset(merged), labels[:t] + (label,) + labels[t + 1 : n], rule)))
+    return children
+
+
+def test_folded_children_give_the_values_and_states_of_unfolded_ones(monkeypatch):
+    # _children normalises each distinct contraction once and sums equal
+    # children; on graphs the size of perfbench's regions graphs that must
+    # change no value and no memo size under any rule
+    rng = random.Random(2810)
+    graphs = [_benchmark_shaped(rng, n, edges) for n, edges in ((6, 26), (7, 27), (7, 28))]
+    engines = (
+        partial(total_poly, max_edges=30),
+        partial(zero_free_poly, max_edges=30),
+        lambda g: total_poly(g.reduce_mod(3), 30),
+        lambda g: integral_count(g, 7, 30),
+    )
+    children = chromatic._children
+    folded = 0
+
+    def checked(key, rule):
+        nonlocal folded
+        out = children(key, rule)
+        assert all(c for c, _, _ in out), key
+        assert len({(peeled, child) for _, peeled, child in out}) == len(out), key
+        folded += sum(abs(c) for c, _, _ in out) > len(out)
+        return out
+
+    results = {}
+    for name, rule_children in (("folded", checked), ("unfolded", _unfolded_children)):
+        monkeypatch.setattr(chromatic, "_children", rule_children)
+        results[name] = []
+        for g in graphs:
+            for engine in engines:
+                chromatic._memos.clear()
+                results[name].append((engine(g), _memo_states()))
+    chromatic._memos.clear()
+    assert results["folded"] == results["unfolded"]
+    assert folded > 100
 
 
 @pytest.mark.parametrize("labels", ["flags", "widths"])

@@ -25,7 +25,7 @@ def test_bench_verify_sweep_counts_names_that_exist():
     for name in tool.FUNCTIONS:
         assert callable(getattr(chromatic, name, None)), name
         assert getattr(identities, name, None) is getattr(chromatic, name), name
-    assert callable(chromatic._solve)
+    assert callable(chromatic._solve) and callable(chromatic._state)
     for cls, name in tool.METHODS:
         owner = getattr(gaingraph, cls, None) or getattr(poly, cls)
         assert callable(getattr(owner, name, None)), (cls, name)

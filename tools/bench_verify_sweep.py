@@ -1,4 +1,4 @@
-"""Parent/change measurements of a verify-suite change, written as one JSON file.
+"""Parent/change measurements of a change to the package, written as one JSON file.
 
     python3 tools/bench_verify_sweep.py --parent DIR [--out FILE]
 
@@ -9,16 +9,19 @@ by default ``BENCH_verify_sweep.json`` at the root of its own checkout, in
 four sections, each as soon as it is done:
 
 * ``calls``: how often ``identities`` calls each chromatic function during
-  a ``verify`` run, how often the engines enter ``chromatic._solve``, and
-  how often gain graphs are built by the validating constructor
-  (``IntegralGainGraph.__init__``) and contracted, how often polynomials
-  are substituted into, and how many edges enter the potential union-find
-  (``_GainDSU.add_edge``), counted by wrapping the names in-process.  The
-  counts repeat exactly from run to run.
+  a CLI run, how often the engines enter ``chromatic._solve`` and
+  normalise a state (``chromatic._state``), how often gain graphs are
+  built by the validating constructor (``IntegralGainGraph.__init__``) and
+  contracted, how often polynomials are substituted into, and how many
+  edges enter the potential union-find (``_GainDSU.add_edge``), counted by
+  wrapping the names in-process.  The counts repeat exactly from run to
+  run.
 * ``outputs``: stdout, stderr and exit code of every perfbench job of
   seeds 1 and 2, on both sides, and the jobs where they differ.
-* ``rss_mb``: peak RSS of two ``verify`` commands, from ``os.wait4`` on the
-  child, median of alternating runs.
+* ``rss_mb``: peak RSS of the counted commands, from ``os.wait4`` on the
+  child, median of alternating runs, with ``src/gainchrom/__pycache__``
+  removed before every run, since stale or missing bytecode reads about
+  1 MB more.
 * ``pairs``: ``perfbench/run.py --trace 0`` runs of each (workload, seed,
   pairs) item of PLAN, as long as BENCHMARK.json's ``run_seconds``,
   alternating which side runs first, with
@@ -45,11 +48,12 @@ CHANGE = Path(__file__).resolve().parents[1]
 OUT = CHANGE / "BENCH_verify_sweep.json"
 SECONDS = json.loads((CHANGE / "BENCHMARK.json").read_text())["run_seconds"]
 # (workload, seed, pairs) of the perfbench runs
-PLAN = (("verify", 1, 10), ("verify", 2, 10), ("expand", 1, 4), ("regions", 1, 4), ("count", 1, 4))
-# The verify commands whose identities-level calls are counted.
+PLAN = (("regions", 1, 10), ("regions", 2, 4), ("verify", 1, 4), ("expand", 1, 4), ("count", 1, 4))
+# The commands whose calls are counted and whose peak RSS is measured.
 COUNTED = (
     ("verify", "--suite", "invariance", "--switchings", "100"),
     ("verify", "--suite", "all", "--n", "3"),
+    ("regions", "--family", "linial", "--n", "7", "--max-edges", "30"),
 )
 FUNCTIONS = (
     "total_poly", "zero_free_poly", "count_modular_colorings", "count_integral_colorings", "ordinary_chromatic_poly"
@@ -65,8 +69,8 @@ METHODS = (
 RSS_RUNS = 5
 
 # Run in the child: wrap each function name that identities reads at call
-# time, the engines' _solve and the methods, then run the CLI with its
-# output discarded.
+# time, the engines' _solve and _state and the methods, then run the CLI
+# with its output discarded.
 _COUNT_CALLS = """
 import collections, io, json, sys, contextlib
 from gainchrom import chromatic, identities, cli, gaingraph, poly
@@ -79,13 +83,14 @@ def wrap(name, f):
 for name in {functions!r}:
     setattr(identities, name, wrap(name, getattr(identities, name)))
 chromatic._solve = wrap("_solve", chromatic._solve)
+chromatic._state = wrap("_state", chromatic._state)
 methods = [f"{{cls}}.{{name}}" for cls, name in {methods!r}]
 for cls, name in {methods!r}:
     owner = getattr(gaingraph, cls, None) or getattr(poly, cls)
     setattr(owner, name, wrap(f"{{cls}}.{{name}}", getattr(owner, name)))
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main({argv!r})
-print(json.dumps({{"exit": code, **{{name: calls[name] for name in (*{functions!r}, "_solve", *methods)}}}}))
+print(json.dumps({{"exit": code, **{{name: calls[name] for name in (*{functions!r}, "_solve", "_state", *methods)}}}}))
 """
 
 
@@ -223,7 +228,9 @@ def main(argv: list[str] | None = None) -> int:
         samples: dict[str, list[float]] = {"parent": [], "change": []}
         for i in range(RSS_RUNS):
             for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-                samples[side].append(peak_rss_mb(parent if side == "parent" else change, cmd))
+                tree = parent if side == "parent" else change
+                _clear_bytecode(tree)
+                samples[side].append(peak_rss_mb(tree, cmd))
         rss[" ".join(cmd)] = {side: _summary(values) for side, values in samples.items()}
     report["rss_mb"] = rss
     save()
