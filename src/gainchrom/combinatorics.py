@@ -12,7 +12,7 @@ from collections.abc import Callable, Iterable, Iterator
 from itertools import combinations
 from math import comb, factorial, prod
 
-from .gaingraph import _GainDSU
+from .gaingraph import _canonical_edge, _edge_indices, _potentials
 
 SetPartition = tuple[tuple[int, ...], ...]
 
@@ -72,6 +72,8 @@ def _valid_partition(blocks: Iterable[Iterable[int]]) -> SetPartition:
 
 
 def bell_number(n: int) -> int:
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     return sum(stirling2(n, k) for k in range(n + 1))
 
 
@@ -112,13 +114,21 @@ def partition_mobius(pi: SetPartition) -> int:
 # -- closed edge sets (flats) of an ordinary multigraph ------------------------
 
 
+def _check_edges(n: int, pairs: list[tuple[int, int]], indices: Iterable[int]) -> tuple[int, ...]:
+    """``indices`` in order; ValueError unless each is in range(len(pairs)) and every pair lies in 1..n."""
+    for a, b in pairs:
+        _canonical_edge(n, a, b, 0)
+    return _edge_indices(len(pairs), indices)
+
+
+def _closure(n: int, pairs: list[tuple[int, int]], subset: Iterable[int]) -> frozenset[int]:
+    root = _potentials(n, [(*pairs[i], 0) for i in subset])[0]
+    return frozenset(i for i, (a, b) in enumerate(pairs) if root[a] == root[b])
+
+
 def closure(n: int, pairs: list[tuple[int, int]], subset: Iterable[int]) -> frozenset[int]:
     """Indices of every edge whose endpoints the subset connects (loops always qualify)."""
-    dsu = _GainDSU(n)
-    for i in subset:
-        dsu.add_edge(*pairs[i], 0)
-    root = dsu.root
-    return frozenset(i for i, (a, b) in enumerate(pairs) if root[a] == root[b])
+    return _closure(n, pairs, _check_edges(n, pairs, subset))
 
 
 def _flat_weights(
@@ -127,12 +137,12 @@ def _flat_weights(
     """sum of (-1)^|S| over the subsets S of ``within`` (every edge by
     default), keyed by closure(S): one closure per subset.  By default every
     flat is a key, since it closes to itself."""
-    members = range(len(pairs)) if within is None else sorted(within)
+    members = _check_edges(n, pairs, range(len(pairs)) if within is None else sorted(within))
     weights: dict[frozenset[int], int] = {}
     for size in range(len(members) + 1):
         sign = -1 if size % 2 else 1
         for subset in combinations(members, size):
-            flat = closure(n, pairs, subset)
+            flat = _closure(n, pairs, subset)
             weights[flat] = weights.get(flat, 0) + sign
     return weights
 

@@ -25,12 +25,13 @@ stay distinguishable.
 
 A switching function is a vertex potential, so balance, components,
 balanced contraction and the flat closure in combinatorics.py all read one
-structure: ``_GainDSU``, a union-find that stores each vertex's root and
-its potential relative to that root.  Reading either is one list lookup; a
-union re-roots the smaller component, so each vertex moves O(log n) times.
-The subset expansion in chromatic.py normalises its states with the same
-union, written out over local lists in ``_state``, which runs it once per
-distinct child of every state.
+function: ``_potentials``, a one-pass union-find that gives each vertex's
+root and its potential relative to that root, and the roots of the
+unbalanced components.  A union re-roots the smaller component, so each
+vertex moves O(log n) times.  The subset expansion in chromatic.py
+normalises its states with the same union by size, written out in
+``_state``, which runs once per distinct child of every state and would
+pay for the call (its docstring gives the cost).
 """
 
 from __future__ import annotations
@@ -67,68 +68,62 @@ def _canonical_edge(n: int, tail: int, head: int, gain: int, modulus: int | None
     return (tail, head, gain if modulus is None else gain % modulus)
 
 
-class _GainDSU:
-    """Union-find over vertices 1..n with gain potentials.
+def _edge_indices(count: int, indices: Iterable[int]) -> tuple[int, ...]:
+    """``indices`` in order; ValueError unless each is in range(count)."""
+    idx = tuple(indices)
+    if idx and (min(idx) < 0 or max(idx) >= count):
+        raise ValueError(f"edge indices must lie in range({count})")
+    return idx
 
-    Every vertex stores its root (``root``) and its potential relative to
-    that root (``pot``), so finding either is one read.  A union moves the
-    members of the smaller component under the larger one's root and
-    re-bases their potentials, reduced mod ``modulus`` when one is given.
-    Every consistent added edge (tail, head, gain) keeps pot[head] -
-    pot[tail] == gain, modulo ``modulus``.  The counters n_comp and n_unbal
-    (components containing a circle of nonzero gain) are what balance tests
-    and the expansion exponents read.
+
+def _potentials(n: int, edges: Iterable[Edge]) -> tuple[list[int], list[int], set[int]]:
+    """(root, pot, unbalanced) of the union-find of (1..n, edges), in one
+    pass over the edges in the order given.
+
+    Every vertex gets its component's root and its potential relative to
+    that root, so every edge that joined two components keeps pot[head] -
+    pot[tail] == gain.  A joining edge moves the members of the smaller
+    component, kept in a ring, under the larger one's root and re-bases
+    their potentials.  An edge inside a component that closes a circle of
+    nonzero gain adds the component's root to ``unbalanced``.
     """
-
-    __slots__ = ("root", "pot", "next", "size", "unbal", "mod", "n_comp", "n_unbal")
-
-    def __init__(self, n: int, modulus: int | None = None):
-        self.root = list(range(n + 1))
-        self.pot = [0] * (n + 1)
-        self.next = list(range(n + 1))  # the members of a component, in a ring
-        self.size = [1] * (n + 1)  # meaningful at roots
-        self.unbal = [False] * (n + 1)  # meaningful at roots
-        self.mod = modulus
-        self.n_comp = n
-        self.n_unbal = 0
-
-    def add_edge(self, t: int, h: int, gain: int) -> None:
-        root, pot = self.root, self.pot
+    root = list(range(n + 1))
+    pot = [0] * (n + 1)
+    ring = list(range(n + 1))  # the members of a component, in a ring
+    size = [1] * (n + 1)  # meaningful at roots
+    unbalanced: set[int] = set()
+    for t, h, gain in edges:
         rt, rh = root[t], root[h]
         delta = gain + pot[t] - pot[h]  # rh's potential relative to rt, or a circle's gain
-        if self.mod is not None:
-            delta %= self.mod
         if rt == rh:
-            if delta and not self.unbal[rt]:
-                self.unbal[rt] = True
-                self.n_unbal += 1
-            return
-        size = self.size
+            if delta:
+                unbalanced.add(rt)
+            continue
         if size[rh] > size[rt]:
             # Union by size: read the edge backwards so that rh's side is the smaller.
             rt, rh, delta = rh, rt, -delta
         size[rt] += size[rh]
-        ring, mod = self.next, self.mod
         v = rh
         while True:
             root[v] = rt
-            pot[v] = pot[v] + delta if mod is None else (pot[v] + delta) % mod
+            pot[v] += delta
             v = ring[v]
             if v == rh:
                 break
         ring[rt], ring[rh] = ring[rh], ring[rt]  # splice the two rings into one
-        if self.unbal[rh]:
-            if self.unbal[rt]:
-                self.n_unbal -= 1
-            self.unbal[rt] = True
-        self.n_comp -= 1
+        if rh in unbalanced:
+            unbalanced.remove(rh)
+            unbalanced.add(rt)
+    return root, pot, unbalanced
 
-    def components(self) -> list[list[int]]:
-        """Vertex sets of the components, each sorted, ordered by least vertex."""
-        blocks: dict[int, list[int]] = {}
-        for v in range(1, len(self.root)):
-            blocks.setdefault(self.root[v], []).append(v)
-        return list(blocks.values())
+
+def _blocks(root: list[int]) -> list[list[int]]:
+    """The vertex sets of the components of a ``root`` list from
+    ``_potentials``, each sorted, ordered by least vertex."""
+    blocks: dict[int, list[int]] = {}
+    for v in range(1, len(root)):
+        blocks.setdefault(root[v], []).append(v)
+    return list(blocks.values())
 
 
 class IntegralGainGraph:
@@ -185,35 +180,27 @@ class IntegralGainGraph:
 
     def underlying_pairs(self, indices: Iterable[int] | None = None) -> list[tuple[int, int]]:
         """Endpoint pairs (gains dropped), loops included."""
-        idx = range(len(self.edges)) if indices is None else self._indices(indices)
+        idx = range(len(self.edges)) if indices is None else _edge_indices(len(self.edges), indices)
         return [(self.edges[i][0], self.edges[i][1]) for i in idx]
 
-    def _indices(self, indices: Iterable[int]) -> tuple[int, ...]:
-        """``indices`` in order; ValueError unless each is in range(len(edges))."""
-        idx = tuple(indices)
-        if idx and (min(idx) < 0 or max(idx) >= len(self.edges)):
-            raise ValueError(f"edge indices must lie in range({len(self.edges)})")
-        return idx
-
     # -- component / balance machinery ---------------------------------------
-    # Each query builds one _GainDSU over the selected edges; contraction
-    # below takes its blocks and potentials from the same structure.
+    # Each query runs _potentials over the selected edges; contraction below
+    # takes its blocks and potentials from the same pass.
 
-    def _dsu(self, indices: Iterable[int] | None) -> _GainDSU:
-        """The potential union-find of (V, selected edges)."""
-        dsu = _GainDSU(self.n)
-        for i in range(len(self.edges)) if indices is None else self._indices(indices):
-            dsu.add_edge(*self.edges[i])
-        return dsu
+    def _dsu(self, indices: Iterable[int] | None) -> tuple[list[int], list[int], set[int]]:
+        """(root, pot, unbalanced) of (V, selected edges), from ``_potentials``."""
+        edges = self.edges
+        return _potentials(self.n, edges if indices is None else [edges[i] for i in _edge_indices(len(edges), indices)])
 
     def is_balanced(self, indices: Iterable[int] | None = None) -> bool:
         """True iff every circle inside the selected edges has total gain 0."""
-        return not self._dsu(indices).n_unbal
+        return not self._dsu(indices)[2]
 
     def components_stats(self, indices: Iterable[int] | None = None) -> tuple[int, int]:
         """(component count, balanced component count) of the spanning subgraph."""
-        dsu = self._dsu(indices)
-        return dsu.n_comp, dsu.n_comp - dsu.n_unbal
+        root, _, unbalanced = self._dsu(indices)
+        components = len(set(root)) - 1  # vertex 0 is its own root
+        return components, components - len(unbalanced)
 
     def max_circle_gain(self) -> int | None:
         """Largest |gain| over all circles (loops, digons, longer cycles); None if
@@ -262,7 +249,7 @@ class IntegralGainGraph:
         return IntegralGainGraph._of(self.n, [(t, h, -values[t] + g + values[h]) for t, h, g in self.edges])
 
     def delete_edges(self, indices: Iterable[int]) -> "IntegralGainGraph":
-        drop = set(self._indices(indices))
+        drop = set(_edge_indices(len(self.edges), indices))
         keep = [e for i, e in enumerate(self.edges) if i not in drop]
         return IntegralGainGraph._of(self.n, keep)
 
@@ -288,11 +275,11 @@ class IntegralGainGraph:
         The contracted vertices are ordered by least original vertex.
         """
         drop = frozenset(indices)
-        dsu = self._dsu(drop)  # checks the indices
+        root = self._dsu(drop)[0]  # checks the indices
         for i in drop:
             if self.edges[i][2] != 0:
                 raise NonNeutralEdgeInSet(f"edge {self.edges[i]} has nonzero gain")
-        return self._contract_blocks(dsu.components(), drop)
+        return self._contract_blocks(_blocks(root), drop)
 
     def contract_balanced_set(self, indices: Iterable[int]) -> "IntegralGainGraph":
         """Contract a balanced edge set by first switching it neutral.
@@ -302,11 +289,10 @@ class IntegralGainGraph:
         the union-find made each component's root.
         """
         indices = tuple(indices)  # union order picks the roots; _dsu checks them
-        dsu = self._dsu(indices)
-        comps = dsu.components()
-        pot = dsu.pot
-        if dsu.n_unbal:
+        root, pot, unbalanced = self._dsu(indices)
+        if unbalanced:
             raise UnbalancedSet("edge set contains a circle with nonzero gain")
+        comps = _blocks(root)
         eta = [0] * (self.n + 1)
         for members in comps:
             low = min(-pot[v] for v in members)

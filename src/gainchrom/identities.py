@@ -551,7 +551,9 @@ def run_invariance_suite(
     and total functions (with the integral non-invariance witness), gain-0 loop nullity,
     invariance under simplification, loop independence, deletion-contraction for gain-0
     links, and multiplicativity on disjoint unions.  The four laws in between are the
-    rows of one table of combinations that must vanish."""
+    rows of one table of combinations that must vanish.  Union samples need a nonempty corpus."""
+    if union_samples > 0 and not corpus:
+        raise ValueError("union_samples > 0 needs a nonempty corpus")
     rng = random.Random(seed)
     reports: list[CheckReport] = []
     mod_sample = (3, 4)

@@ -484,18 +484,26 @@ def test_verify_all_output_bytes_at_the_ends_of_n_are_pinned(capsys, n, extra, d
 
 # The perfbench tracer wraps every public function and re-binds it wherever
 # a module or module-level dict holds it, so code that compares functions by
-# identity or keeps them in closures behaves differently under it.
+# identity or keeps them in closures behaves differently under it.  One job
+# per entry point of the perfbench workloads; GRAPH is a file graph with a
+# loop and parallel links, as the workloads' generated graphs have.
 @pytest.mark.parametrize(
     "argv",
     [
         ["verify", "--suite", "all", "--n", "2"],
         ["poly", "--family", "shi", "--n", "3", "--function", "total"],
+        ["eval", "--graph", "GRAPH", "--function", "chromatic", "--q", "3"],
+        ["eval", "--graph", "GRAPH", "--function", "modular", "--q", "3"],
+        ["regions", "--graph", "GRAPH"],
     ],
-    ids=["verify", "poly"],
+    ids=["verify", "poly", "eval-chromatic", "eval-modular", "regions"],
 )
 def test_traced_run_matches_the_plain_run(tmp_path, argv):
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps({"n": 4, "edges": [[1, 2, 1], [1, 2, 0], [2, 3, -1], [3, 4, 2], [1, 4, 0], [2, 2, 1]]}))
+    argv = [str(graph) if arg == "GRAPH" else arg for arg in argv]
     plain = subprocess.run(
         [sys.executable, "-m", "gainchrom.cli", *argv], capture_output=True, text=True, env=env, timeout=60
     )

@@ -59,6 +59,17 @@ def test_set_partitions_counts_and_shape():
             assert mins == sorted(mins)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [lambda: list(set_partitions(-1)), lambda: bell_number(-1), lambda: stirling2(-1, 0), lambda: cycle_count(0, -1)],
+    ids=["set_partitions", "bell_number", "stirling2", "cycle_count"],
+)
+def test_partition_counts_refuse_negative_sizes(call):
+    # bell_number(-1) summed an empty range to 0
+    with pytest.raises(ValueError, match="nonnegative"):
+        call()
+
+
 def test_stirling_numbers():
     assert stirling2(3, 2) == 3
     assert sum(1 for pi in set_partitions(3) if len(pi) == 2) == 3
@@ -138,6 +149,27 @@ def test_closed_sets_edgeless_and_loops():
     loopy = [(1, 1), (1, 2)]
     for flat in closed_edge_sets(2, loopy):
         assert flat_mobius(2, loopy, flat) == 0
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: closure(3, [(1, 2), (2, 3), (1, 3)], [-1]),
+        lambda: closure(3, [(1, 2), (2, 3), (1, 3)], [3]),
+        lambda: closure(3, [(1, 4)], [0]),
+        lambda: closure(3, [(0, 1)], []),
+        lambda: flat_mobius(3, [(1, 2), (2, 3), (1, 3)], frozenset([-1])),
+        lambda: flat_mobius(3, [(1, 2)], frozenset([1])),
+        lambda: flat_mobius(2, [(1, 3)], frozenset()),
+        lambda: closed_edge_sets(2, [(1, 2), (2, 3)]),
+    ],
+    ids=["closure-negative", "closure-past-end", "closure-vertex", "closure-vertex-0",
+         "mobius-negative", "mobius-past-end", "mobius-vertex", "flats-vertex"],
+)
+def test_flat_functions_refuse_edges_out_of_range(call):
+    # before, -1 counted from the end and an unknown vertex raised IndexError
+    with pytest.raises(ValueError):
+        call()
 
 
 def random_multigraph(rng: random.Random) -> tuple[int, list[tuple[int, int]]]:

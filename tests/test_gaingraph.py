@@ -15,7 +15,8 @@ from gainchrom.gaingraph import (
     ModularGainGraph,
     NonNeutralEdgeInSet,
     UnbalancedSet,
-    _GainDSU,
+    _blocks,
+    _potentials,
 )
 from gainchrom.identities import fixture_corpus
 from gainchrom.poly import Q
@@ -94,14 +95,13 @@ def test_balanced_components_are_all_balanced():
                     assert b < c
 
 
-def _bfs_components(n: int, edges: list, modulus: int | None) -> list[tuple[list[int], dict, bool]]:
+def _bfs_components(n: int, edges: list) -> list[tuple[list[int], dict, bool]]:
     """(sorted vertices, potentials from the least vertex, balanced) of each
-    component of (1..n, edges), by breadth-first search, without _GainDSU."""
+    component of (1..n, edges), by breadth-first search, without _potentials."""
     adjacency: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
     for t, h, gain in edges:
         adjacency[t].append((h, gain))
         adjacency[h].append((t, -gain))
-    reduce = (lambda x: x % modulus) if modulus is not None else (lambda x: x)
     out, placed = [], set()
     for start in range(1, n + 1):
         if start in placed:
@@ -110,44 +110,38 @@ def _bfs_components(n: int, edges: list, modulus: int | None) -> list[tuple[list
         for v in queue:
             for w, gain in adjacency[v]:
                 if w not in pot:
-                    pot[w] = reduce(pot[v] + gain)
+                    pot[w] = pot[v] + gain
                     queue.append(w)
         placed.update(pot)
-        balanced = all(reduce(pot[h] - pot[t] - gain) == 0 for t, h, gain in edges if t in pot)
+        balanced = all(pot[h] - pot[t] == gain for t, h, gain in edges if t in pot)
         out.append((sorted(pot), pot, balanced))
     return out
 
 
-@pytest.mark.parametrize("modulus", [None, 2, 3, 5])
-def test_gain_dsu_against_breadth_first_potentials(modulus):
-    rng = random.Random(2407 + (modulus or 0))
+def test_potentials_against_breadth_first_search():
+    # every prefix of a random edge sequence, loops and parallel edges included
+    rng = random.Random(2407)
     for _ in range(150):
         n = rng.randint(1, 8)
-        dsu = _GainDSU(n, modulus)
         added, forest = [], []
-        comps = _bfs_components(n, added, modulus)
+        comps = _bfs_components(n, added)
         for _ in range(rng.randint(0, 14)):
             t, h, gain = rng.randint(1, n), rng.randint(1, n), rng.randint(-3, 3)
             if not any(t in vertices and h in vertices for vertices, _, _ in comps):
                 forest.append((t, h, gain))
-            dsu.add_edge(t, h, gain)
             added.append((t, h, gain))
-            comps = _bfs_components(n, added, modulus)
-            assert dsu.components() == [vertices for vertices, _, _ in comps]
-            assert (dsu.n_comp, dsu.n_unbal) == (len(comps), sum(not balanced for _, _, balanced in comps))
-            for vertices, pot, balanced in comps:
-                assert len({dsu.root[v] for v in vertices}) == 1
-                if modulus is not None:
-                    assert all(0 <= dsu.pot[v] < modulus for v in vertices)
+            root, pot, unbalanced = _potentials(n, added)
+            comps = _bfs_components(n, added)
+            assert _blocks(root) == [vertices for vertices, _, _ in comps]
+            assert unbalanced == {root[vertices[0]] for vertices, _, balanced in comps if not balanced}
+            for vertices, bfs_pot, balanced in comps:
+                assert len({root[v] for v in vertices}) == 1
                 if balanced:
                     # potentials are unique up to one shift per balanced component
-                    shifts = {dsu.pot[v] - pot[v] for v in vertices}
-                    assert len(shifts if modulus is None else {s % modulus for s in shifts}) == 1
+                    assert len({pot[v] - bfs_pot[v] for v in vertices}) == 1
             # every edge that closed no circle holds its gain as a potential difference
-            for t, h, gain in forest:
-                difference = dsu.pot[h] - dsu.pot[t] - gain
-                assert (difference if modulus is None else difference % modulus) == 0
-        assert len(forest) == n - dsu.n_comp
+            assert all(pot[h] - pot[t] == gain for t, h, gain in forest)
+        assert len(forest) == n - len(comps)
 
 
 def test_contract_neutral_set():

@@ -391,6 +391,14 @@ def test_invariance_suite_on_one_graph_with_a_gain_2_loop():
     assert [r.identity for r in reports if not r.passed] == []
 
 
+def test_invariance_suite_refuses_an_empty_corpus_it_must_sample():
+    # the union sample drew from the empty corpus with rng.choice
+    with pytest.raises(ValueError, match="nonempty corpus"):
+        run_invariance_suite([], switchings=1)
+    reports = run_invariance_suite([], switchings=1, union_samples=0)
+    assert all(r.passed for r in reports)
+
+
 @pytest.fixture
 def fresh_oracle_memo():
     identities._count.cache_clear()

@@ -28,7 +28,7 @@ from gainchrom.chromatic import (
     zero_free_poly,
 )
 from gainchrom.combinatorics import closure
-from gainchrom.gaingraph import IntegralGainGraph, ModularGainGraph, _GainDSU
+from gainchrom.gaingraph import IntegralGainGraph, ModularGainGraph
 from gainchrom.identities import fixture_corpus
 from gainchrom.poly import Poly2, Q, Z
 
@@ -308,18 +308,34 @@ def test_finished_values_are_cleared_with_the_states(monkeypatch):
 
 
 def _state_adding_every_link(links: frozenset, labels: tuple, rule) -> tuple:
-    """The reference for chromatic._state: every link enters the potential
-    union-find, parallel ones included."""
+    """The reference for chromatic._state: every link, parallel ones
+    included, enters a plain union-find in sorted order.  Each vertex keeps
+    a parent and its potential over that parent, reduced mod the rule's
+    modulus; nothing is shared with _state or gaingraph._potentials."""
     n = max((h for _, h, _ in links), default=0)
     if n == 0:
         return labels[1:], chromatic._EMPTY
     if rule.switch:
-        dsu = _GainDSU(n, rule.modulus)
+        modulus = rule.modulus
+        parent = list(range(n + 1))
+        over_parent = [0] * (n + 1)
+
+        def find(v: int) -> tuple[int, int]:
+            """(root of v, potential of v over the root)"""
+            pot = 0
+            while parent[v] != v:
+                pot += over_parent[v]
+                v = parent[v]
+            return v, pot
+
         ordered = sorted(links)
         for t, h, gain in ordered:
-            dsu.add_edge(t, h, gain)
-        pot = dsu.pot
-        links = frozenset(chromatic._link(t, h, gain - pot[h] + pot[t], rule.modulus) for t, h, gain in ordered)
+            (rt, pt), (rh, ph) = find(t), find(h)
+            if rt != rh:
+                parent[rh] = rt
+                over_parent[rh] = gain + pt - ph if modulus is None else (gain + pt - ph) % modulus
+        pot = [find(v)[1] for v in range(n + 1)]
+        links = frozenset(chromatic._link(t, h, gain - pot[h] + pot[t], modulus) for t, h, gain in ordered)
     return labels[n + 1 :], (n, links, labels[: n + 1])
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import importlib.util
 from pathlib import Path
 
@@ -29,3 +30,7 @@ def test_bench_verify_sweep_counts_names_that_exist():
     for cls, name in tool.METHODS:
         owner = getattr(gaingraph, cls, None) or getattr(poly, cls)
         assert callable(getattr(owner, name, None)), (cls, name)
+    # every module that reads _potentials by name gets the counted wrapper
+    assert callable(gaingraph._potentials)
+    for module in tool.POTENTIALS:
+        assert importlib.import_module(f"gainchrom.{module}")._potentials is gaingraph._potentials, module

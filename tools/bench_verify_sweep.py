@@ -12,10 +12,11 @@ four sections, each as soon as it is done:
   a CLI run, how often the engines enter ``chromatic._solve`` and
   normalise a state (``chromatic._state``), how often gain graphs are
   built by the validating constructor (``IntegralGainGraph.__init__``) and
-  contracted, how often polynomials are substituted into, and how many
-  edges enter the potential union-find (``_GainDSU.add_edge``), counted by
-  wrapping the names in-process.  The counts repeat exactly from run to
-  run.
+  contracted, how often polynomials are substituted into, and how often
+  the potential union-find (``gaingraph._potentials``) runs, counted by
+  wrapping the names in-process (``_potentials`` in every module that
+  imports it; null on a side without it).  The counts repeat exactly from
+  run to run.
 * ``outputs``: stdout, stderr and exit code of every perfbench job of
   seeds 1 and 2, on both sides, and the jobs where they differ.
 * ``rss_mb``: peak RSS of the counted commands, from ``os.wait4`` on the
@@ -63,16 +64,17 @@ METHODS = (
     ("IntegralGainGraph", "__init__"),
     ("IntegralGainGraph", "contract_neutral_set"),
     ("IntegralGainGraph", "contract_partition"),
-    ("_GainDSU", "add_edge"),
     ("Poly2", "substitute_q"),
 )
+# modules that bind gaingraph._potentials by name, each wrapped
+POTENTIALS = ("gaingraph", "combinatorics")
 RSS_RUNS = 5
 
 # Run in the child: wrap each function name that identities reads at call
-# time, the engines' _solve and _state and the methods, then run the CLI
-# with its output discarded.
+# time, the engines' _solve and _state, _potentials and the methods, then
+# run the CLI with its output discarded.
 _COUNT_CALLS = """
-import collections, io, json, sys, contextlib
+import collections, importlib, io, json, sys, contextlib
 from gainchrom import chromatic, identities, cli, gaingraph, poly
 calls = collections.Counter()
 def wrap(name, f):
@@ -84,13 +86,19 @@ for name in {functions!r}:
     setattr(identities, name, wrap(name, getattr(identities, name)))
 chromatic._solve = wrap("_solve", chromatic._solve)
 chromatic._state = wrap("_state", chromatic._state)
+potentials = getattr(gaingraph, "_potentials", None)
+if potentials is not None:
+    counted_potentials = wrap("_potentials", potentials)
+    for module in {potentials_in!r}:
+        setattr(importlib.import_module(f"gainchrom.{{module}}"), "_potentials", counted_potentials)
 methods = [f"{{cls}}.{{name}}" for cls, name in {methods!r}]
 for cls, name in {methods!r}:
     owner = getattr(gaingraph, cls, None) or getattr(poly, cls)
     setattr(owner, name, wrap(f"{{cls}}.{{name}}", getattr(owner, name)))
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main({argv!r})
-print(json.dumps({{"exit": code, **{{name: calls[name] for name in (*{functions!r}, "_solve", "_state", *methods)}}}}))
+counts = {{name: calls[name] for name in (*{functions!r}, "_solve", "_state", *methods)}}
+print(json.dumps({{"exit": code, **counts, "_potentials": calls["_potentials"] if potentials else None}}))
 """
 
 
@@ -103,7 +111,7 @@ def _clear_bytecode(tree: Path) -> None:
 
 
 def count_calls(tree: Path, argv: tuple[str, ...]) -> dict:
-    code = _COUNT_CALLS.format(functions=FUNCTIONS, methods=METHODS, argv=list(argv))
+    code = _COUNT_CALLS.format(functions=FUNCTIONS, methods=METHODS, potentials_in=POTENTIALS, argv=list(argv))
     out = subprocess.run([sys.executable, "-c", code], env=_env(tree), cwd=tree, capture_output=True, check=True)
     return json.loads(out.stdout)
 
